@@ -3,21 +3,20 @@ DRL pairs (double-DQN selector with either a lattice Q-network or a
 deterministic-gradient parameter actor).
 
 Every agent implements select(features, vnf, state, has_user) -> ParamAction;
-the learners also share the replay/train_step/checkpoint interface.
+the two pairs run on pat.LearnerBase, so they share the PAT learner's replay,
+schedules, train_step and checkpoints.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .env import ParamAction, PoolConfig, resource_range
-from .pat import ReplayBuffer, Transition, one_hot, ascend_param_actor
+from .pat import (HIDDEN, LearnerBase, PatConfig, ascend_param_actor, one_hot,
+                  regress_critic)
 from . import nn
-
-HIDDEN = (128, 64)
 
 
 class GreedyAgent:
@@ -110,33 +109,17 @@ class DiscretizedGrid:
 
 
 @dataclass(frozen=True)
-class BaselineRlConfig:
-    """Shared knobs of the DDQN/DDPG pairs; values track the learner table."""
+class BaselineRlConfig(PatConfig):
+    """The learner table of PatConfig plus the pairs' delta lattice step and
+    phase length."""
 
-    gamma: float = 0.99
-    tau: float = 5e-3
-    lr: float = 1e-3
-    eps: float = 0.8
-    eps_min: float = 0.05
-    eps_decay: float = 1e-3
-    sigma_noise: float = 0.2
-    clip_c: float = 0.5
-    clip_c_min: float = 0.1
-    beta: float = 0.2
-    gamma_max: float = 100.0
-    batch_size: int = 128
-    buffer_capacity: int = 100_000
-    warmup_size: int = 5_000
-    updates_per_epoch: int = 1
     resolution: float = 5.0
     alternation_period: int = 10
 
     def __post_init__(self):
+        super().__post_init__()
         if self.resolution <= 0 or self.alternation_period < 1:
             raise ValueError("resolution must be > 0 and alternation_period >= 1")
-        if min(self.batch_size, self.buffer_capacity, self.warmup_size,
-               self.updates_per_epoch) < 1:
-            raise ValueError("batch/buffer/warmup/updates sizes must be >= 1")
 
 
 def dqn_update(net: nn.Mlp, target: nn.Mlp, adam: nn.AdamState,
@@ -155,167 +138,92 @@ def dqn_update(net: nn.Mlp, target: nn.Mlp, adam: nn.AdamState,
     return float(np.mean(resid * resid))
 
 
-class _PairedLearner:
-    """Common plumbing of the two-network baselines: shared replay, epsilon
-    schedule derived from the update counter, phase alternation."""
+class _PairedLearner(LearnerBase):
+    """Two-network baselines: a double-DQN server selector and a parameter
+    side, trained in alternating phases of alternation_period updates."""
 
-    def __init__(self, state_dim: int, n_targets: int, cfg: BaselineRlConfig, seed):
-        self.cfg = cfg
-        self.state_dim = int(state_dim)
-        self.n_targets = int(n_targets)
-        self.rng = np.random.default_rng(seed)
-        self.buffer = ReplayBuffer(cfg.buffer_capacity, self.state_dim)
-        self.updates = 0
-        self.eval_mode = False
-
-    @property
-    def eps(self) -> float:
-        return max(self.cfg.eps - self.updates * self.cfg.eps_decay, self.cfg.eps_min)
-
-    @property
-    def clip_c(self) -> float:
-        return max(self.cfg.clip_c - self.updates * self.cfg.eps_decay, self.cfg.clip_c_min)
-
-    @property
-    def cloud_action(self) -> int:
-        return self.n_targets - 1
+    _CONFIG = BaselineRlConfig
 
     @property
     def phase(self) -> int:
         """0 trains the server selector, 1 trains the parameter side."""
         return (self.updates // self.cfg.alternation_period) % 2
 
-    def set_eval(self, flag: bool):
-        self.eval_mode = bool(flag)
-
-    def store(self, tr: Transition):
-        self.buffer.add(tr)
-
-    def _pick_server(self, s, explore: bool) -> int:
-        if explore and self.rng.random() < self.eps:
-            return int(self.rng.integers(self.n_targets))
-        return int(np.argmax(nn.forward(self.server_q, s)))
+    def _update(self, batch) -> dict:
+        if self.phase == 1:
+            return {"loss": self._update_params(batch)}
+        states, actions, _, rewards, next_states = batch
+        loss = dqn_update(self.server_q, self.t_server_q, self.adam_server,
+                          states, actions, rewards, next_states, self.cfg.gamma)
+        nn.soft_update(self.t_server_q, self.server_q, self.cfg.tau)
+        return {"loss": loss}
 
 
 class DdqnPairAgent(_PairedLearner):
     """Double-DQN over servers paired with a lattice Q-network over deltas."""
 
+    _KIND = "ddqn"
+    _NETS = ("server_q", "param_q", "t_server_q", "t_param_q")
+    _ADAMS = {"adam_server": "server_q", "adam_param": "param_q"}
+
     def __init__(self, state_dim: int, n_targets: int, grid: DiscretizedGrid,
                  cfg: BaselineRlConfig | None = None, seed=0):
-        super().__init__(state_dim, n_targets, cfg or BaselineRlConfig(), seed)
+        super().__init__(state_dim, n_targets, cfg, seed)
         self.grid = grid
         s = self.state_dim
-        self.server_q = nn.Mlp((s, *HIDDEN, self.n_targets))
-        self.param_q = nn.Mlp((s, *HIDDEN, grid.n_cells))
-        for net in (self.server_q, self.param_q):
-            nn.gaussian_init(net, self.rng)
-        self.t_server_q = nn.clone(self.server_q)
-        self.t_param_q = nn.clone(self.param_q)
-        self.adam_server = nn.AdamState(self.server_q, lr=self.cfg.lr)
-        self.adam_param = nn.AdamState(self.param_q, lr=self.cfg.lr)
+        self._init_nets(server_q=nn.Mlp((s, *HIDDEN, self.n_targets)),
+                        param_q=nn.Mlp((s, *HIDDEN, grid.n_cells)))
 
     def select(self, features, vnf: int = 0, state=None, has_user: bool = True) -> ParamAction:
         s = np.asarray(features, dtype=np.float64)
         explore = not self.eval_mode
-        a = self._pick_server(s, explore)
+        a = self._eps_greedy(self.server_q, s, explore)
         if a == self.cloud_action:
             return ParamAction(a, 0.0, 0.0)
-        if explore and self.rng.random() < self.eps:
-            cell = int(self.rng.integers(self.grid.n_cells))
-        else:
-            cell = int(np.argmax(nn.forward(self.param_q, s)))
-        dc, dm = self.grid.delta(cell)
+        dc, dm = self.grid.delta(self._eps_greedy(self.param_q, s, explore))
         return ParamAction(a, dc, dm)
 
-    def train_step(self) -> dict:
-        if self.buffer.size < self.cfg.warmup_size:
-            return {"trained": False, "eps": self.eps, "clip_c": self.clip_c}
-        states, actions, params, rewards, next_states = \
-            self.buffer.sample(self.cfg.batch_size, self.rng)
-        if self.phase == 0:
-            loss = dqn_update(self.server_q, self.t_server_q, self.adam_server,
-                              states, actions, rewards, next_states, self.cfg.gamma)
-            nn.soft_update(self.t_server_q, self.server_q, self.cfg.tau)
-        else:
-            cells = np.array([self.grid.index_of(p[0], p[1]) for p in params])
-            loss = dqn_update(self.param_q, self.t_param_q, self.adam_param,
-                              states, cells, rewards, next_states, self.cfg.gamma)
-            nn.soft_update(self.t_param_q, self.param_q, self.cfg.tau)
-        self.updates += 1
-        return {"trained": True, "loss": loss, "eps": self.eps, "clip_c": self.clip_c}
+    def _update_params(self, batch) -> float:
+        states, _, params, rewards, next_states = batch
+        cells = np.array([self.grid.index_of(p[0], p[1]) for p in params])
+        loss = dqn_update(self.param_q, self.t_param_q, self.adam_param,
+                          states, cells, rewards, next_states, self.cfg.gamma)
+        nn.soft_update(self.t_param_q, self.param_q, self.cfg.tau)
+        return loss
 
-    _NETS = ("server_q", "param_q", "t_server_q", "t_param_q")
+    def _meta(self) -> dict:
+        g = self.grid
+        return {"resolution": g.resolution,
+                "span_cpu": float(g.values_cpu[-1] - g.values_cpu[0] + g.resolution),
+                "span_mem": float(g.values_mem[-1] - g.values_mem[0] + g.resolution)}
 
-    def save(self, path):
-        data = {}
-        for name in self._NETS:
-            data.update(nn.mlp_state(getattr(self, name), name))
-        data.update(nn.adam_state(self.adam_server, "adam_server"))
-        data.update(nn.adam_state(self.adam_param, "adam_param"))
-        meta = {"kind": "ddqn", "state_dim": self.state_dim,
-                "n_targets": self.n_targets, "updates": self.updates,
-                "resolution": self.grid.resolution,
-                "span_cpu": float(self.grid.values_cpu[-1] - self.grid.values_cpu[0]
-                                  + self.grid.resolution),
-                "span_mem": float(self.grid.values_mem[-1] - self.grid.values_mem[0]
-                                  + self.grid.resolution),
-                "cfg": asdict(self.cfg)}
-        data["meta"] = np.array(json.dumps(meta))
-        np.savez(path, **data)
-
-    @classmethod
-    def load(cls, path, seed=0) -> "DdqnPairAgent":
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            grid = DiscretizedGrid(meta["resolution"], meta["span_cpu"], meta["span_mem"])
-            agent = cls(meta["state_dim"], meta["n_targets"], grid,
-                        BaselineRlConfig(**meta["cfg"]), seed=seed)
-            for name in cls._NETS:
-                setattr(agent, name, nn.mlp_from_state(data, name))
-            agent.adam_server = nn.adam_from_state(data, "adam_server",
-                                                   agent.server_q, agent.cfg.lr)
-            agent.adam_param = nn.adam_from_state(data, "adam_param",
-                                                  agent.param_q, agent.cfg.lr)
-            agent.updates = int(meta["updates"])
-        return agent
+    @staticmethod
+    def _from_meta(meta: dict) -> DiscretizedGrid:
+        return DiscretizedGrid(meta["resolution"], meta["span_cpu"], meta["span_mem"])
 
 
 class DdpgPairAgent(_PairedLearner):
     """Double-DQN server selector paired with a deterministic parameter actor
     and a single critic (no twin minimum, no target smoothing noise)."""
 
+    _KIND = "ddpg"
+    _NETS = ("server_q", "actor", "critic", "t_server_q", "t_actor", "t_critic")
+    _ADAMS = {"adam_server": "server_q", "adam_actor": "actor", "adam_critic": "critic"}
+
     def __init__(self, state_dim: int, n_targets: int, param_scale,
                  cfg: BaselineRlConfig | None = None, seed=0):
-        super().__init__(state_dim, n_targets, cfg or BaselineRlConfig(), seed)
-        self.scale = np.asarray(param_scale, dtype=np.float64)
-        self.p_feat = 2.0 * self.scale  # same critic footing as the twin learner
+        super().__init__(state_dim, n_targets, cfg, seed)
+        self._set_scale(param_scale)  # same critic footing as the twin learner
         s, a = self.state_dim, self.n_targets
-        self.server_q = nn.Mlp((s, *HIDDEN, a))
-        self.actor = nn.Mlp((s + a, *HIDDEN, 2), head_scale=self.scale)
-        self.critic = nn.Mlp((s + a + 2, *HIDDEN, 1))
-        for net in (self.server_q, self.actor, self.critic):
-            nn.gaussian_init(net, self.rng)
-        self.t_server_q = nn.clone(self.server_q)
-        self.t_actor = nn.clone(self.actor)
-        self.t_critic = nn.clone(self.critic)
-        self.adam_server = nn.AdamState(self.server_q, lr=self.cfg.lr)
-        self.adam_actor = nn.AdamState(self.actor, lr=self.cfg.lr)
-        self.adam_critic = nn.AdamState(self.critic, lr=self.cfg.lr)
+        self._init_nets(server_q=nn.Mlp((s, *HIDDEN, a)),
+                        actor=nn.Mlp((s + a, *HIDDEN, 2), head_scale=self.scale),
+                        critic=nn.Mlp((s + a + 2, *HIDDEN, 1)))
 
     def select(self, features, vnf: int = 0, state=None, has_user: bool = True) -> ParamAction:
         s = np.asarray(features, dtype=np.float64)
         explore = not self.eval_mode
-        a = self._pick_server(s, explore)
-        if a == self.cloud_action:
-            return ParamAction(a, 0.0, 0.0)
-        x = np.concatenate([s, one_hot([a], self.n_targets)[0]])
-        p = nn.forward(self.actor, x)
-        if explore:
-            w = self.rng.normal(0.0, self.cfg.sigma_noise, size=2) * self.scale
-            bound = self.clip_c * self.scale
-            p = p + np.clip(w, -bound, bound)
-        p = np.clip(p, -self.scale, self.scale)
-        return ParamAction(a, float(p[0]), float(p[1]))
+        return self._actor_step(self.actor, s, self._eps_greedy(self.server_q, s, explore),
+                                explore)
 
     def compute_targets(self, batch):
         """Single-critic bootstrap at the target actor's noiseless action."""
@@ -324,63 +232,17 @@ class DdpgPairAgent(_PairedLearner):
         oh = one_hot(a_next, self.n_targets)
         p_next = nn.forward(self.t_actor, np.concatenate([next_states, oh], axis=1))
         p_next[a_next == self.cloud_action] = 0.0
-        xc = np.concatenate([next_states, oh, p_next / self.p_feat], axis=1)
+        xc = self._critic_input(next_states, oh, p_next)
         return rewards + self.cfg.gamma * nn.forward(self.t_critic, xc)[:, 0]
 
-    def train_step(self) -> dict:
-        if self.buffer.size < self.cfg.warmup_size:
-            return {"trained": False, "eps": self.eps, "clip_c": self.clip_c}
-        batch = self.buffer.sample(self.cfg.batch_size, self.rng)
-        states, actions, params, rewards, next_states = batch
-        b = states.shape[0]
-        if self.phase == 0:
-            loss = dqn_update(self.server_q, self.t_server_q, self.adam_server,
-                              states, actions, rewards, next_states, self.cfg.gamma)
-            nn.soft_update(self.t_server_q, self.server_q, self.cfg.tau)
-        else:
-            y = self.compute_targets(batch)
-            oh = one_hot(actions, self.n_targets)
-            xc = np.concatenate([states, oh, params / self.p_feat], axis=1)
-            q, cache = nn.forward_cached(self.critic, xc)
-            resid = q[:, 0] - y
-            loss = float(np.mean(resid * resid))
-            grads, _ = nn.backward(self.critic, cache, (2.0 / b) * resid[:, None])
-            self.adam_critic.step(self.critic, grads)
-            ascend_param_actor(self.actor, self.adam_actor, self.critic, states, oh,
-                               param_scale=self.p_feat)
-            nn.soft_update(self.t_actor, self.actor, self.cfg.tau)
-            nn.soft_update(self.t_critic, self.critic, self.cfg.tau)
-        self.updates += 1
-        return {"trained": True, "loss": loss, "eps": self.eps, "clip_c": self.clip_c}
-
-    _NETS = ("server_q", "actor", "critic", "t_server_q", "t_actor", "t_critic")
-
-    def save(self, path):
-        data = {}
-        for name in self._NETS:
-            data.update(nn.mlp_state(getattr(self, name), name))
-        data.update(nn.adam_state(self.adam_server, "adam_server"))
-        data.update(nn.adam_state(self.adam_actor, "adam_actor"))
-        data.update(nn.adam_state(self.adam_critic, "adam_critic"))
-        meta = {"kind": "ddpg", "state_dim": self.state_dim,
-                "n_targets": self.n_targets, "scale": self.scale.tolist(),
-                "updates": self.updates, "cfg": asdict(self.cfg)}
-        data["meta"] = np.array(json.dumps(meta))
-        np.savez(path, **data)
-
-    @classmethod
-    def load(cls, path, seed=0) -> "DdpgPairAgent":
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            agent = cls(meta["state_dim"], meta["n_targets"], meta["scale"],
-                        BaselineRlConfig(**meta["cfg"]), seed=seed)
-            for name in cls._NETS:
-                setattr(agent, name, nn.mlp_from_state(data, name))
-            agent.adam_server = nn.adam_from_state(data, "adam_server",
-                                                   agent.server_q, agent.cfg.lr)
-            agent.adam_actor = nn.adam_from_state(data, "adam_actor",
-                                                  agent.actor, agent.cfg.lr)
-            agent.adam_critic = nn.adam_from_state(data, "adam_critic",
-                                                   agent.critic, agent.cfg.lr)
-            agent.updates = int(meta["updates"])
-        return agent
+    def _update_params(self, batch) -> float:
+        states, actions, params, _, _ = batch
+        y = self.compute_targets(batch)
+        oh = one_hot(actions, self.n_targets)
+        loss = regress_critic(self.critic, self.adam_critic,
+                              self._critic_input(states, oh, params), y)
+        ascend_param_actor(self.actor, self.adam_actor, self.critic, states, oh,
+                           param_scale=self.p_feat)
+        nn.soft_update(self.t_actor, self.actor, self.cfg.tau)
+        nn.soft_update(self.t_critic, self.critic, self.cfg.tau)
+        return loss

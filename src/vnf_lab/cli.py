@@ -9,6 +9,7 @@ import sys
 
 from . import harness
 from .harness import ConfigError
+from .pat import LearnerBase
 
 
 def _add_common(p, config_required=True):
@@ -34,6 +35,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p = sub.add_parser("eval", help="evaluate one agent without exploration")
     _add_common(p)
+    p.add_argument("--checkpoint", default=None,
+                   help="trained learner checkpoint (overrides run.checkpoint_path)")
     p = sub.add_parser("compare", help="run several agents on one traffic trace")
     _add_common(p)
     p.add_argument("--agents", default="pat,greedy,cloud",
@@ -76,8 +79,12 @@ def main(argv=None) -> int:
             seed = harness.resolve_seed(cfg, args.seed)
             env = harness.build_env(cfg, seed, stream=1)
             agent = harness.build_agent(cfg, env, seed)
-            ckpt = cfg.run.checkpoint_path
-            if ckpt and os.path.exists(ckpt) and hasattr(type(agent), "load"):
+            if isinstance(agent, LearnerBase):
+                ckpt = args.checkpoint or cfg.run.checkpoint_path
+                if not ckpt:
+                    raise ConfigError(f"eval: agent {cfg.agent['kind']!r} needs a trained "
+                                      "checkpoint: pass --checkpoint or set "
+                                      "run.checkpoint_path")
                 agent = type(agent).load(ckpt, seed=seed)
             epochs = args.epochs or cfg.run.eval_epochs or 100
             rows = harness.evaluate_agent(cfg, agent, seed, epochs)

@@ -15,9 +15,9 @@ import numpy as np
 
 from .env import (VnfSpec, CostParams, PoolConfig, TrafficConfig, VnfEnv,
                   EpochMetrics)
-from .pat import PatConfig, PatAgent, Transition
+from .pat import LearnerBase, PatAgent, Transition
 from .baselines import (GreedyAgent, CloudAgent, RandomAgent, DiscretizedGrid,
-                        BaselineRlConfig, DdqnPairAgent, DdpgPairAgent)
+                        DdqnPairAgent, DdpgPairAgent)
 
 SEED_ENV_VAR = "VNF_LAB_SEED"
 
@@ -27,7 +27,8 @@ CSV_HEADER = ("epoch,network_cost,latency_per_user,financial_per_user,"
 
 # stable stream tags so every agent kind draws from its own seed lineage
 AGENT_KINDS = {"pat": 1, "greedy": 2, "cloud": 3, "random": 4, "ddqn": 5, "ddpg": 6}
-LEARNERS = {"pat", "ddqn", "ddpg"}
+# each learner's config class; its fields are the agent block's keys
+RL_CONFIGS = {cls._KIND: cls._CONFIG for cls in (PatAgent, DdqnPairAgent, DdpgPairAgent)}
 
 # default catalogue: ten service profiles
 # (c0, cr, dc, m0, mr, dm, qos_min, qos_max, gamma_sla, mu_arr, sigma_arr)
@@ -83,10 +84,8 @@ def default_vnfs(count: int | None = None) -> list:
 def default_agent_config(kind: str) -> dict:
     if kind not in AGENT_KINDS:
         raise ConfigError(f"agent.kind: unknown agent {kind!r}")
-    if kind == "pat":
-        return {"kind": "pat", **asdict(PatConfig())}
-    if kind in ("ddqn", "ddpg"):
-        return {"kind": kind, **asdict(BaselineRlConfig())}
+    if kind in RL_CONFIGS:
+        return {"kind": kind, **asdict(RL_CONFIGS[kind]())}
     return {"kind": kind}
 
 
@@ -168,12 +167,10 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def _validate_agent(agent: dict):
     kind = agent["kind"]
-    rest = {k: v for k, v in agent.items() if k != "kind"}
+    if kind not in RL_CONFIGS:
+        return
     try:
-        if kind == "pat":
-            PatConfig(**rest)
-        elif kind in ("ddqn", "ddpg"):
-            BaselineRlConfig(**rest)
+        RL_CONFIGS[kind](**{k: v for k, v in agent.items() if k != "kind"})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"agent: {exc}") from exc
 
@@ -223,25 +220,20 @@ def build_agent(cfg: ExperimentConfig, env: VnfEnv, seed: int):
     agent = cfg.agent
     kind = agent["kind"]
     agent_seed = np.random.SeedSequence([seed, 2, AGENT_KINDS[kind]])
-    rest = {k: v for k, v in agent.items() if k != "kind"}
-    scale = (cfg.pool.rho_max, cfg.pool.eta_max)
-    if kind == "pat":
-        return PatAgent(env.feature_length, env.n_targets, scale,
-                        PatConfig(**rest), seed=agent_seed)
     if kind == "greedy":
         return GreedyAgent(cfg.pool, cfg.vnfs)
     if kind == "cloud":
         return CloudAgent(cfg.pool)
     if kind == "random":
         return RandomAgent(cfg.pool, seed=agent_seed)
+    rl = RL_CONFIGS[kind](**{k: v for k, v in agent.items() if k != "kind"})
+    scale = (cfg.pool.rho_max, cfg.pool.eta_max)
+    if kind == "pat":
+        return PatAgent(env.feature_length, env.n_targets, scale, rl, seed=agent_seed)
     if kind == "ddqn":
-        bcfg = BaselineRlConfig(**rest)
-        grid = DiscretizedGrid(bcfg.resolution, cfg.pool.rho_max, cfg.pool.eta_max)
-        return DdqnPairAgent(env.feature_length, env.n_targets, grid, bcfg, seed=agent_seed)
-    if kind == "ddpg":
-        return DdpgPairAgent(env.feature_length, env.n_targets, scale,
-                             BaselineRlConfig(**rest), seed=agent_seed)
-    raise ConfigError(f"agent.kind: unknown agent {kind!r}")
+        grid = DiscretizedGrid(rl.resolution, cfg.pool.rho_max, cfg.pool.eta_max)
+        return DdqnPairAgent(env.feature_length, env.n_targets, grid, rl, seed=agent_seed)
+    return DdpgPairAgent(env.feature_length, env.n_targets, scale, rl, seed=agent_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -328,12 +320,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None,
     given; rows are flushed as they are produced."""
     seed = resolve_seed(cfg, seed)
     kind = cfg.agent["kind"]
-    learner = kind in LEARNERS
     env = build_env(cfg, seed, stream=0)
     agent = build_agent(cfg, env, seed)
+    learner = isinstance(agent, LearnerBase)
     updates = int(cfg.agent.get("updates_per_epoch", 1))
 
-    metrics_path = checkpoint_path = None
+    metrics_path = None
     sink = None
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -351,21 +343,15 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None,
 
     eval_rows = []
     if cfg.run.eval_epochs > 0:
-        eval_env = build_env(cfg, seed, stream=1)
-        if hasattr(agent, "set_eval"):
-            agent.set_eval(True)
-        eval_rows = _drive(eval_env, agent, cfg.run.eval_epochs, learner=False)
-        if hasattr(agent, "set_eval"):
-            agent.set_eval(False)
+        eval_rows = evaluate_agent(cfg, agent, seed, cfg.run.eval_epochs)
 
     result = RunResult(seed, train_rows, eval_rows,
                        compute_kpis(train_rows), compute_kpis(eval_rows),
                        metrics_path, None)
     if out_dir is not None:
-        target = cfg.run.checkpoint_path or os.path.join(out_dir, "checkpoint.npz")
-        if hasattr(agent, "save"):
-            agent.save(target)
-            result.checkpoint_path = target
+        if learner:
+            result.checkpoint_path = agent.save(
+                cfg.run.checkpoint_path or os.path.join(out_dir, "checkpoint.npz"))
         summary = {
             "agent": kind,
             "seed": seed,
@@ -385,12 +371,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None,
 def evaluate_agent(cfg: ExperimentConfig, agent, seed: int, epochs: int):
     """Exploration-free rollout on the shared evaluation trace."""
     env = build_env(cfg, seed, stream=1)
-    if hasattr(agent, "set_eval"):
+    learner = isinstance(agent, LearnerBase)
+    if learner:
         agent.set_eval(True)
-    rows = _drive(env, agent, epochs, learner=False)
-    if hasattr(agent, "set_eval"):
-        agent.set_eval(False)
-    return rows
+    try:
+        return _drive(env, agent, epochs, learner=False)
+    finally:
+        if learner:
+            agent.set_eval(False)
 
 
 @dataclass
@@ -420,10 +408,9 @@ def compare(cfg: ExperimentConfig, agent_names, seeds=None, out_dir=None,
             else:
                 agent_doc = default_agent_config(name)
             acfg = dataclasses.replace(cfg, agent=agent_doc)
-            learner = name in LEARNERS
             env = build_env(acfg, seed, stream=0)
             agent = build_agent(acfg, env, seed)
-            if learner:
+            if isinstance(agent, LearnerBase):
                 _drive(env, agent, acfg.run.total_epochs, True,
                        int(acfg.agent.get("updates_per_epoch", 1)))
             rows = evaluate_agent(acfg, agent, seed, max(acfg.run.eval_epochs, 1))

@@ -1,15 +1,20 @@
-"""Parameterized-action twin-critic learner.
+"""Parameterized-action twin-critic learner and the base of all learners.
 
 A discrete actor scores the K+1 placement targets, a parameter actor maps
 (state, chosen target) to bounded CPU/memory deltas, and two critics rate
 (state, target one-hot, deltas). Targets are lagged copies blended softly
 after every update. The discrete actor trains through a softmax relaxation
 of its scores fed to the first critic.
+
+LearnerBase holds what this learner shares with the DDQN and DDPG pairs of
+the baselines module: replay, schedules, exploration, train_step and
+checkpoints.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -132,42 +137,66 @@ def ascend_param_actor(actor: nn.Mlp, adam: nn.AdamState, critic: nn.Mlp,
     return p
 
 
-class PatAgent:
-    """Twin-critic learner over parameterized placement actions."""
+def regress_critic(net: nn.Mlp, adam: nn.AdamState, x: np.ndarray, y: np.ndarray) -> float:
+    """One mean-squared-error step of a scalar critic toward fixed targets;
+    returns the loss before the step."""
+    q, cache = nn.forward_cached(net, x)
+    resid = q[:, 0] - y
+    loss = float(np.mean(resid * resid))
+    grads, _ = nn.backward(net, cache, (2.0 / x.shape[0]) * resid[:, None])
+    adam.step(net, grads)
+    return loss
 
-    def __init__(self, state_dim: int, n_targets: int, param_scale,
-                 cfg: PatConfig | None = None, seed=0):
-        self.cfg = cfg or PatConfig()
+
+def npz_path(path) -> str:
+    """The file np.savez writes for path: it appends .npz when missing."""
+    path = os.fspath(path)
+    return path if path.endswith(".npz") else path + ".npz"
+
+
+class LearnerBase:
+    """Plumbing shared by the learners: seeded rng, replay, the update counter
+    and the exploration schedules derived from it, the bounded-delta actor
+    step, warm-up gated training and checkpoints.
+
+    A subclass names its kind, its config class, its checkpointed nets
+    (_NETS: the live nets and their lagged t_ copies) and its
+    optimizers (_ADAMS: optimizer -> net), builds the live nets through
+    _init_nets, and implements _update(batch) -> stats. _meta/_from_meta carry
+    the third constructor argument through a checkpoint; the default is the
+    parameter box of the actor-based learners."""
+
+    _KIND = ""
+    _CONFIG = PatConfig
+    _NETS: tuple = ()
+    _ADAMS: dict = {}
+
+    def __init__(self, state_dim: int, n_targets: int, cfg, seed):
+        self.cfg = cfg or self._CONFIG()
         self.state_dim = int(state_dim)
         self.n_targets = int(n_targets)
+        self.rng = np.random.default_rng(seed)
+        self.buffer = ReplayBuffer(self.cfg.buffer_capacity, self.state_dim)
+        self.updates = 0
+        self.eval_mode = False
+
+    def _set_scale(self, param_scale):
         self.scale = np.asarray(param_scale, dtype=np.float64)
         if self.scale.shape != (2,) or (self.scale <= 0).any():
             raise ValueError("param_scale must be two positive bounds")
         # critics see deltas at half-unit scale so the one-hot target coords
         # keep the larger footing; raw-unit gradients recovered by chain rule
         self.p_feat = 2.0 * self.scale
-        self.rng = np.random.default_rng(seed)
 
-        s, a = self.state_dim, self.n_targets
-        self.actor_action = nn.Mlp((s, *HIDDEN, a))
-        self.actor_param = nn.Mlp((s + a, *HIDDEN, 2), head_scale=self.scale)
-        self.critic_1 = nn.Mlp((s + a + 2, *HIDDEN, 1))
-        self.critic_2 = nn.Mlp((s + a + 2, *HIDDEN, 1))
-        for net in (self.actor_action, self.actor_param, self.critic_1, self.critic_2):
+    def _init_nets(self, **live):
+        """Gaussian-init the live nets in order, clone each into its lagged
+        t_ copy, and give every optimizer of _ADAMS its net."""
+        for name, net in live.items():
             nn.gaussian_init(net, self.rng)
-        self.t_actor_action = nn.clone(self.actor_action)
-        self.t_actor_param = nn.clone(self.actor_param)
-        self.t_critic_1 = nn.clone(self.critic_1)
-        self.t_critic_2 = nn.clone(self.critic_2)
-
-        self.adam_actor_action = nn.AdamState(self.actor_action, lr=self.cfg.lr)
-        self.adam_actor_param = nn.AdamState(self.actor_param, lr=self.cfg.lr)
-        self.adam_critic_1 = nn.AdamState(self.critic_1, lr=self.cfg.lr)
-        self.adam_critic_2 = nn.AdamState(self.critic_2, lr=self.cfg.lr)
-
-        self.buffer = ReplayBuffer(self.cfg.buffer_capacity, self.state_dim)
-        self.updates = 0
-        self.eval_mode = False
+            setattr(self, name, net)
+            setattr(self, "t_" + name, nn.clone(net))
+        for name, net in self._ADAMS.items():
+            setattr(self, name, nn.AdamState(getattr(self, net), lr=self.cfg.lr))
 
     # schedules derive from the update counter so they are exact
     @property
@@ -185,6 +214,9 @@ class PatAgent:
     def set_eval(self, flag: bool):
         self.eval_mode = bool(flag)
 
+    def store(self, tr: Transition):
+        self.buffer.add(tr)
+
     def _clipped_noise(self, shape) -> np.ndarray:
         w = self.rng.normal(0.0, self.cfg.sigma_noise, size=shape) * self.scale
         bound = self.clip_c * self.scale
@@ -193,25 +225,103 @@ class PatAgent:
     def _critic_input(self, states, onehots, params) -> np.ndarray:
         return np.concatenate([states, onehots, params / self.p_feat], axis=1)
 
-    def select(self, features, vnf: int = 0, state=None, has_user: bool = True) -> ParamAction:
-        """Agent-callback: epsilon-greedy target, noisy bounded deltas."""
-        s = np.asarray(features, dtype=np.float64)
-        explore = not self.eval_mode
+    def _eps_greedy(self, net: nn.Mlp, s: np.ndarray, explore: bool) -> int:
         if explore and self.rng.random() < self.eps:
-            a = int(self.rng.integers(self.n_targets))
-        else:
-            a = int(np.argmax(nn.forward(self.actor_action, s)))
+            return int(self.rng.integers(net.n_out))
+        return int(np.argmax(nn.forward(net, s)))
+
+    def _actor_step(self, actor: nn.Mlp, s: np.ndarray, a: int, explore: bool) -> ParamAction:
+        """Target a with the actor's deltas, noisy while exploring and clipped
+        to the box; offloads carry no deltas."""
         if a == self.cloud_action:
             return ParamAction(a, 0.0, 0.0)
         x = np.concatenate([s, one_hot([a], self.n_targets)[0]])
-        p = nn.forward(self.actor_param, x)
+        p = nn.forward(actor, x)
         if explore:
             p = p + self._clipped_noise(2)
         p = np.clip(p, -self.scale, self.scale)
         return ParamAction(a, float(p[0]), float(p[1]))
 
-    def store(self, tr: Transition):
-        self.buffer.add(tr)
+    def train_step(self) -> dict:
+        """One optimization round; a no-op until the warmup fill is reached."""
+        if self.buffer.size < self.cfg.warmup_size:
+            return {"trained": False, "eps": self.eps, "clip_c": self.clip_c}
+        stats = self._update(self.buffer.sample(self.cfg.batch_size, self.rng))
+        self.updates += 1
+        return {"trained": True, **stats, "eps": self.eps, "clip_c": self.clip_c}
+
+    def _update(self, batch) -> dict:
+        raise NotImplementedError
+
+    # ------------------------------------------------------------------
+    # checkpointing
+
+    def _meta(self) -> dict:
+        return {"scale": self.scale.tolist()}
+
+    @staticmethod
+    def _from_meta(meta: dict):
+        return meta["scale"]
+
+    def save(self, path) -> str:
+        """Write nets, optimizer moments and meta; returns the file written."""
+        data = {}
+        for name in self._NETS:
+            data.update(nn.mlp_state(getattr(self, name), name))
+        for name in self._ADAMS:
+            data.update(nn.adam_state(getattr(self, name), name))
+        meta = {"kind": self._KIND, "state_dim": self.state_dim,
+                "n_targets": self.n_targets, **self._meta(),
+                "updates": self.updates, "cfg": asdict(self.cfg)}
+        data["meta"] = np.array(json.dumps(meta))
+        path = npz_path(path)
+        np.savez(path, **data)
+        return path
+
+    @classmethod
+    def load(cls, path, seed=0):
+        path = npz_path(path)
+        with np.load(path, allow_pickle=False) as data:
+            meta = json.loads(str(data["meta"]))
+            if meta.get("kind") != cls._KIND:
+                raise ValueError(f"{path}: checkpoint of a {meta.get('kind')!r} learner, "
+                                 f"not {cls._KIND!r}")
+            agent = cls(meta["state_dim"], meta["n_targets"], cls._from_meta(meta),
+                        cls._CONFIG(**meta["cfg"]), seed=seed)
+            for name in cls._NETS:
+                setattr(agent, name, nn.mlp_from_state(data, name))
+            for name, net in cls._ADAMS.items():
+                setattr(agent, name, nn.adam_from_state(data, name, getattr(agent, net),
+                                                        agent.cfg.lr))
+            agent.updates = int(meta["updates"])
+        return agent
+
+
+class PatAgent(LearnerBase):
+    """Twin-critic learner over parameterized placement actions."""
+
+    _KIND = "pat"
+    _NETS = ("actor_action", "actor_param", "critic_1", "critic_2",
+             "t_actor_action", "t_actor_param", "t_critic_1", "t_critic_2")
+    _ADAMS = {"adam_actor_action": "actor_action", "adam_actor_param": "actor_param",
+              "adam_critic_1": "critic_1", "adam_critic_2": "critic_2"}
+
+    def __init__(self, state_dim: int, n_targets: int, param_scale,
+                 cfg: PatConfig | None = None, seed=0):
+        super().__init__(state_dim, n_targets, cfg, seed)
+        self._set_scale(param_scale)
+        s, a = self.state_dim, self.n_targets
+        self._init_nets(actor_action=nn.Mlp((s, *HIDDEN, a)),
+                        actor_param=nn.Mlp((s + a, *HIDDEN, 2), head_scale=self.scale),
+                        critic_1=nn.Mlp((s + a + 2, *HIDDEN, 1)),
+                        critic_2=nn.Mlp((s + a + 2, *HIDDEN, 1)))
+
+    def select(self, features, vnf: int = 0, state=None, has_user: bool = True) -> ParamAction:
+        """Agent-callback: epsilon-greedy target, noisy bounded deltas."""
+        s = np.asarray(features, dtype=np.float64)
+        explore = not self.eval_mode
+        a = self._eps_greedy(self.actor_action, s, explore)
+        return self._actor_step(self.actor_param, s, a, explore)
 
     def compute_targets(self, batch):
         """Bootstrapped values: reward plus the discounted lesser target critic
@@ -233,17 +343,9 @@ class PatAgent:
 
     def update_critics(self, batch, y):
         states, actions, params, _, _ = batch
-        b = states.shape[0]
         xc = self._critic_input(states, one_hot(actions, self.n_targets), params)
-        losses = []
-        for net, adam in ((self.critic_1, self.adam_critic_1),
-                          (self.critic_2, self.adam_critic_2)):
-            q, cache = nn.forward_cached(net, xc)
-            resid = q[:, 0] - y
-            losses.append(float(np.mean(resid * resid)))
-            grads, _ = nn.backward(net, cache, (2.0 / b) * resid[:, None])
-            adam.step(net, grads)
-        return tuple(losses)
+        return (regress_critic(self.critic_1, self.adam_critic_1, xc, y),
+                regress_critic(self.critic_2, self.adam_critic_2, xc, y))
 
     def update_actors(self, batch):
         """Ascend the first critic: deltas through the parameter head, target
@@ -264,11 +366,7 @@ class PatAgent:
         grads, _ = nn.backward(self.actor_action, cache_a, -gscores)
         self.adam_actor_action.step(self.actor_action, grads)
 
-    def train_step(self) -> dict:
-        """One optimization round; a no-op until the warmup fill is reached."""
-        if self.buffer.size < self.cfg.warmup_size:
-            return {"trained": False, "eps": self.eps, "clip_c": self.clip_c}
-        batch = self.buffer.sample(self.cfg.batch_size, self.rng)
+    def _update(self, batch) -> dict:
         y, _ = self.compute_targets(batch)
         l1, l2 = self.update_critics(batch, y)
         self.update_actors(batch)
@@ -277,40 +375,4 @@ class PatAgent:
                              (self.t_critic_1, self.critic_1),
                              (self.t_critic_2, self.critic_2)):
             nn.soft_update(target, live, self.cfg.tau)
-        self.updates += 1
-        return {"trained": True, "critic_loss_1": l1, "critic_loss_2": l2,
-                "eps": self.eps, "clip_c": self.clip_c}
-
-    # ------------------------------------------------------------------
-    # checkpointing
-
-    _NETS = ("actor_action", "actor_param", "critic_1", "critic_2",
-             "t_actor_action", "t_actor_param", "t_critic_1", "t_critic_2")
-    _ADAMS = ("adam_actor_action", "adam_actor_param", "adam_critic_1", "adam_critic_2")
-
-    def save(self, path):
-        data = {}
-        for name in self._NETS:
-            data.update(nn.mlp_state(getattr(self, name), name))
-        for name in self._ADAMS:
-            data.update(nn.adam_state(getattr(self, name), name))
-        meta = {"kind": "pat", "state_dim": self.state_dim,
-                "n_targets": self.n_targets, "scale": self.scale.tolist(),
-                "updates": self.updates, "cfg": asdict(self.cfg)}
-        data["meta"] = np.array(json.dumps(meta))
-        np.savez(path, **data)
-
-    @classmethod
-    def load(cls, path, seed=0) -> "PatAgent":
-        with np.load(path, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
-            agent = cls(meta["state_dim"], meta["n_targets"], meta["scale"],
-                        PatConfig(**meta["cfg"]), seed=seed)
-            for name in cls._NETS:
-                setattr(agent, name, nn.mlp_from_state(data, name))
-            for name, net in zip(cls._ADAMS,
-                                 (agent.actor_action, agent.actor_param,
-                                  agent.critic_1, agent.critic_2)):
-                setattr(agent, name, nn.adam_from_state(data, name, net, agent.cfg.lr))
-            agent.updates = int(meta["updates"])
-        return agent
+        return {"critic_loss_1": l1, "critic_loss_2": l2}

@@ -253,6 +253,39 @@ class TestRunExperiment:
         assert result.checkpoint_path == target
         assert (tmp_path / "elsewhere.npz").exists()
 
+    def test_checkpoint_path_without_suffix_round_trips(self, tmp_path, capsys):
+        # np.savez appends .npz; the reported path and eval must follow it
+        agent = {"kind": "pat", "warmup_size": 8, "batch_size": 8,
+                 "buffer_capacity": 512}
+        doc = desk_doc(agent, total_epochs=3, eval_epochs=2,
+                       checkpoint_path=str(tmp_path / "ckpt"))
+        result = run_experiment(config_from_dict(doc), out_dir=tmp_path / "run")
+        assert result.checkpoint_path == str(tmp_path / "ckpt.npz")
+        assert (tmp_path / "ckpt.npz").exists()
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["eval", "--config", str(path), "--quiet"]) == 0
+
+
+class TestEvaluateAgent:
+    def test_eval_mode_is_restored_when_the_policy_raises(self):
+        cfg = desk_cfg(agent={"kind": "pat"})
+        agent = harness.build_agent(cfg, harness.build_env(cfg, 3), 3)
+        seen = []
+        select = agent.select
+
+        def failing(*args, **kwargs):
+            seen.append(agent.eval_mode)
+            if len(seen) == 3:
+                raise RuntimeError("policy failed")
+            return select(*args, **kwargs)
+
+        agent.select = failing
+        with pytest.raises(RuntimeError, match="policy failed"):
+            harness.evaluate_agent(cfg, agent, 3, 5)
+        assert seen == [True, True, True]
+        assert agent.eval_mode is False
+
 
 class TestCompare:
     def test_agents_see_the_same_arrival_trace(self):
@@ -346,6 +379,37 @@ class TestCli:
         assert cli.main(["eval", "--config", path, "--out", str(out), "--quiet"]) == 0
         lines = (out / "eval_metrics.csv").read_text().splitlines()
         assert lines[0] == CSV_HEADER and len(lines) == 1 + 3
+
+    @pytest.mark.parametrize("kind", ["pat", "ddqn", "ddpg"])
+    def test_eval_of_a_checkpoint_reproduces_training_eval(self, tmp_path, capsys, kind):
+        agent = {"kind": kind, "warmup_size": 16, "batch_size": 8,
+                 "buffer_capacity": 512}
+        path = self.write_cfg(tmp_path, agent=agent, total_epochs=12, eval_epochs=4)
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", path, "--out", str(out), "--quiet"]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        capsys.readouterr()
+        assert cli.main(["eval", "--config", path, "--checkpoint",
+                         str(out / "checkpoint.npz")]) == 0
+        printed = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+        assert printed == {k: f"{v:.6g}" for k, v in summary["eval_kpis"].items()}
+
+    def test_eval_of_a_learner_needs_its_checkpoint(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, agent={"kind": "ddpg"})
+        assert cli.main(["eval", "--config", path, "--quiet"]) == 1
+        assert "checkpoint" in capsys.readouterr().err
+        missing = str(tmp_path / "nowhere.npz")
+        assert cli.main(["eval", "--config", path, "--checkpoint", missing, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err
+
+    def test_eval_refuses_a_checkpoint_of_another_kind(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, agent={"kind": "pat"})
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", path, "--out", str(out), "--quiet"]) == 0
+        assert cli.main(["eval", "--config", path, "--agent", "ddqn", "--checkpoint",
+                         str(out / "checkpoint.npz"), "--quiet"]) == 1
+        assert "'pat'" in capsys.readouterr().err
 
     def test_compare_prints_table(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, agent={"kind": "greedy"}, total_epochs=2,

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vnf_lab import nn
+from vnf_lab.baselines import BaselineRlConfig, DdpgPairAgent, DdqnPairAgent, DiscretizedGrid
 from vnf_lab.env import ParamAction
 from vnf_lab.pat import PatAgent, PatConfig, ReplayBuffer, Transition, ascend_param_actor, one_hot
 
@@ -371,34 +372,73 @@ class TestTrainStep:
         assert any((w0 != w2).any() for w0, w2 in zip(runs[0], runs[2]))
 
 
+# every array prefix a checkpoint stores, per learner kind
+STORED = {
+    "pat": {"meta", "actor_action", "actor_param", "critic_1", "critic_2",
+            "t_actor_action", "t_actor_param", "t_critic_1", "t_critic_2",
+            "adam_actor_action", "adam_actor_param", "adam_critic_1", "adam_critic_2"},
+    "ddqn": {"meta", "server_q", "param_q", "t_server_q", "t_param_q",
+             "adam_server", "adam_param"},
+    "ddpg": {"meta", "server_q", "actor", "critic", "t_server_q", "t_actor", "t_critic",
+             "adam_server", "adam_actor", "adam_critic"},
+}
+
+
+def make_learner(kind, seed):
+    sizes = {"batch_size": 8, "buffer_capacity": 64, "warmup_size": 8}
+    if kind == "pat":
+        return make_agent(seed=seed)
+    # a short phase, so a few updates train both sides of a pair
+    cfg = BaselineRlConfig(alternation_period=2, **sizes)
+    if kind == "ddqn":
+        grid = DiscretizedGrid(cfg.resolution, *SCALE)
+        return DdqnPairAgent(STATE_DIM, N_TARGETS, grid, cfg, seed=seed)
+    return DdpgPairAgent(STATE_DIM, N_TARGETS, SCALE, cfg, seed=seed)
+
+
 class TestCheckpoint:
-    def test_roundtrip_restores_everything(self, tmp_path):
-        agent = make_agent(seed=35)
+    @pytest.mark.parametrize("kind", ["pat", "ddqn", "ddpg"])
+    def test_roundtrip_restores_everything(self, tmp_path, kind):
+        agent = make_learner(kind, seed=35)
         fill_buffer(agent, np.random.default_rng(36), 16)
-        for _ in range(3):
+        for _ in range(5):
             agent.train_step()
-        path = tmp_path / "agent.npz"
-        agent.save(path)
-        again = PatAgent.load(path)
-        assert again.updates == agent.updates
-        assert again.cfg == agent.cfg
-        for name in PatAgent._NETS:
+        # np.savez appends .npz; save reports and load finds the real file
+        path = agent.save(tmp_path / "agent")
+        assert path == str(tmp_path / "agent.npz")
+        with np.load(path) as data:
+            assert {key.split(".")[0] for key in data.files} == STORED[kind]
+        again = type(agent).load(tmp_path / "agent")
+        assert again.updates == agent.updates == 5
+        assert type(again.cfg) is type(agent.cfg) and again.cfg == agent.cfg
+        for name in agent._NETS:
             a, b = getattr(agent, name), getattr(again, name)
             for w0, w1 in zip(a.weights, b.weights):
                 assert (w0 == w1).all()
             for b0, b1 in zip(a.biases, b.biases):
                 assert (b0 == b1).all()
-        for name in PatAgent._ADAMS:
+        for name, net in agent._ADAMS.items():
             a, b = getattr(agent, name), getattr(again, name)
-            assert a.t == b.t
+            assert a.t == b.t > 0
+            assert [mw.shape for mw, _ in b.m] == [w.shape for w in getattr(again, net).weights]
             for (mw0, mb0), (mw1, mb1) in zip(a.m, b.m):
                 assert (mw0 == mw1).all() and (mb0 == mb1).all()
             for (vw0, vb0), (vw1, vb1) in zip(a.v, b.v):
                 assert (vw0 == vw1).all() and (vb0 == vb1).all()
         agent.set_eval(True)
         again.set_eval(True)
-        feats = np.random.default_rng(37).normal(0, 1, STATE_DIM)
-        assert agent.select(feats) == again.select(feats)
+        rng = np.random.default_rng(37)
+        for _ in range(20):
+            feats = rng.normal(0, 1, STATE_DIM)
+            assert agent.select(feats) == again.select(feats)
+
+    def test_load_refuses_another_kind(self, tmp_path):
+        path = make_learner("ddqn", seed=38).save(tmp_path / "ddqn.npz")
+        with pytest.raises(ValueError, match="'ddqn'.*'pat'"):
+            PatAgent.load(path)
+        path = make_agent(seed=39).save(tmp_path / "pat.npz")
+        with pytest.raises(ValueError, match="'pat'.*'ddpg'"):
+            DdpgPairAgent.load(path)
 
 
 class TestConfigValidation:
