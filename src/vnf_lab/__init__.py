@@ -4,9 +4,7 @@ from .env import (
     VnfSpec, CostParams, PoolConfig, TrafficConfig, ParamAction,
     AllocationState, EpochTraffic, EpochMetrics, StepOutcome, StepRecord,
     EpochSummary, VnfEnv,
-    resource_range, qos, resize_latency, deployment_latency, offload_latency,
-    instance_latency, instance_financial, sla_cost, instance_cost,
-    network_cost, agent_cost,
+    SpecTable, resource_range, qos, cost_components, agent_cost,
     sample_rate_block, sample_arrivals, sample_cloud_rate, apply_departures,
 )
 from .nn import Mlp, AdamState, gaussian_init, forward, forward_cached, \

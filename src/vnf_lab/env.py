@@ -7,8 +7,7 @@ stay geometrically, and are placed one request at a time by an agent callback.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,7 +55,6 @@ class CostParams:
     d_rc: float = 3.0
     d_rm: float = 4.0
     d_db: float = 20.0
-    d_dt: float = 10.0  # parsed for completeness, no operation consumes it
     c_rp: float = 6.0
     c_rm: float = 3.0
     c_i0: float = 2.0
@@ -67,11 +65,10 @@ class CostParams:
     w2: float = 1.0
     w3: float = 2.0
     unit_b: float = 1.0
-    unit_c: float = 1.0  # kept configurable, no operation consumes it
 
     def __post_init__(self):
-        for name in ("d_rc", "d_rm", "d_db", "d_dt", "c_rp", "c_rm",
-                     "c_i0", "c_iv", "c_c0", "c_cv", "unit_b", "unit_c"):
+        for name in ("d_rc", "d_rm", "d_db", "c_rp", "c_rm",
+                     "c_i0", "c_iv", "c_c0", "c_cv", "unit_b"):
             if getattr(self, name) < 0:
                 raise ValueError(f"costs.{name} must be >= 0")
         for name in ("w1", "w2", "w3"):
@@ -202,10 +199,6 @@ class SpecTable:
         return len(self.specs)
 
 
-def _as_table(specs):
-    return specs if isinstance(specs, SpecTable) else SpecTable(specs)
-
-
 class AllocationState:
     """Mutable allocation matrices plus the previous-epoch snapshot."""
 
@@ -242,10 +235,11 @@ class AllocationState:
 
 
 # ---------------------------------------------------------------------------
-# resource ranges and QoS
+# resource ranges, QoS and the cost model
 
-def resource_range(spec: VnfSpec, u: int):
-    """Feasible (c_low, c_up, m_low, m_up) band for u users on one instance."""
+def resource_range(spec, u):
+    """Feasible (c_low, c_up, m_low, m_up) band for u users on one instance;
+    elementwise when spec is a SpecTable and u an array."""
     c_low = spec.c0 + (spec.cr - spec.dc) * u
     c_up = spec.c0 + (spec.cr + spec.dc) * u
     m_low = spec.m0 + (spec.mr - spec.dm) * u
@@ -253,111 +247,25 @@ def resource_range(spec: VnfSpec, u: int):
     return c_low, c_up, m_low, m_up
 
 
-def qos(spec: VnfSpec, u: int, c: float, m: float) -> float:
-    """Piecewise QoS of one instance: 0 under the band, saturated above it,
-    linear in capped c + m inside."""
+def qos(spec, u, c, m):
+    """Piecewise QoS: 0 under the band, qos_max above it on both axes, and
+    linear in the capped c + m inside, from qos_min at the lower edge to
+    qos_max at the upper one. Takes one VnfSpec with scalars, or a SpecTable
+    with (rows, N) arrays; cells with u == 0 are junk and must be masked by
+    the caller (cost_components multiplies them by u)."""
     c_low, c_up, m_low, m_up = resource_range(spec, u)
-    if c > c_up and m > m_up:
-        return spec.qos_max
-    if c < c_low or m < m_low:
-        return 0.0
-    r_up = c_up + m_up
-    r_low = c_low + m_low
-    den = r_up - r_low
-    if den <= 0:
-        # degenerate band (dc = dm = 0): anything feasible meets the top
-        return spec.qos_max
-    slope = (spec.qos_max - spec.qos_min) / den
-    offset = (spec.qos_min * r_up - spec.qos_max * r_low) / den
-    return slope * (min(c, c_up) + min(m, m_up)) + offset
-
-
-def _qos_matrix(table: SpecTable, u, c, m):
-    """Vectorized qos over (rows, N) arrays; cells with u == 0 are junk and
-    must be masked by the caller (they always are, via multiplication by u)."""
-    c_low = table.c0 + (table.cr - table.dc) * u
-    c_up = table.c0 + (table.cr + table.dc) * u
-    m_low = table.m0 + (table.mr - table.dm) * u
-    m_up = table.m0 + (table.mr + table.dm) * u
     r_up = c_up + m_up
     r_low = c_low + m_low
     den = r_up - r_low
     safe = np.where(den > 0, den, 1.0)
-    lin = ((table.qos_max - table.qos_min) / safe) * (np.minimum(c, c_up) + np.minimum(m, m_up)) \
-        + (table.qos_min * r_up - table.qos_max * r_low) / safe
-    inside = np.where(den > 0, lin, table.qos_max)
-    out = np.where((c > c_up) & (m > m_up), table.qos_max, inside)
+    lin = ((spec.qos_max - spec.qos_min) / safe) * (np.minimum(c, c_up) + np.minimum(m, m_up)) \
+        + (spec.qos_min * r_up - spec.qos_max * r_low) / safe
+    # slope * x + offset can round just past qos_min or qos_max at the edges
+    lin = np.minimum(np.maximum(lin, spec.qos_min), spec.qos_max)
+    # a degenerate band (dc = dm = 0) meets the top whenever it is feasible
+    inside = np.where(den > 0, lin, spec.qos_max)
+    out = np.where((c > c_up) & (m > m_up), spec.qos_max, inside)
     return np.where((c < c_low) | (m < m_low), 0.0, out)
-
-
-# ---------------------------------------------------------------------------
-# per-instance cost pieces
-
-def resize_latency(costs: CostParams, c_new, c_old, m_new, m_old) -> float:
-    return abs(c_new - c_old) * costs.d_rc + abs(m_new - m_old) * costs.d_rm
-
-
-def deployment_latency(costs: CostParams, c_old, c_new) -> float:
-    return costs.d_db if (c_old == 0 and c_new > 0) else 0.0
-
-
-def offload_latency(costs: CostParams, m_up_cloud: float, rate: float) -> float:
-    """Round-trip transfer delay of the per-user payload over the cloud link."""
-    return 2.0 * m_up_cloud * costs.unit_b / rate
-
-
-def instance_latency(state: AllocationState, k: int, j: int,
-                     costs: CostParams, rate: float) -> float:
-    """User-scaled latency of instance (k, j) relative to the prior epoch."""
-    u = int(state.users[k, j])
-    if k == state.cloud:
-        return u * offload_latency(costs, state.mem[k, j], rate)
-    dep = deployment_latency(costs, state.cpu_prev[k, j], state.cpu[k, j])
-    rez = resize_latency(costs, state.cpu[k, j], state.cpu_prev[k, j],
-                         state.mem[k, j], state.mem_prev[k, j])
-    return u * (dep + rez)
-
-
-def instance_financial(state: AllocationState, k: int, j: int,
-                       costs: CostParams) -> float:
-    """Rental plus activation money for instance (k, j); idle instances pay
-    for one user so that unused deployments are never free."""
-    if state.cpu[k, j] <= 0:
-        return 0.0
-    u_eff = max(int(state.users[k, j]), 1)
-    n = state.n_vnfs
-    if k == state.cloud:
-        newly = 1.0 if state.cpu_prev[k, j] == 0 else 0.0
-        return u_eff * (newly * costs.c_c0 + state.mem[k, j] * costs.c_cv)
-    active = state.cpu[k].sum() > 0
-    newly = active and not state.server_active_prev[k]
-    share = (costs.c_i0 / n if newly else 0.0) + (costs.c_iv / n if active else 0.0)
-    return u_eff * (state.cpu[k, j] * costs.c_rp + state.mem[k, j] * costs.c_rm + share)
-
-
-def sla_cost(spec: VnfSpec, qos_value: float, u: int) -> float:
-    """Per-user penalty below the QoS floor minus the delivered QoS, scaled by users."""
-    if u == 0:
-        return 0.0
-    miss = 1.0 if qos_value < spec.qos_min else 0.0
-    return (spec.gamma_sla * miss - qos_value) * u
-
-
-def instance_cost(state: AllocationState, k: int, j: int, costs: CostParams,
-                  specs, rate: float) -> float:
-    """Weighted latency + SLA + financial cost of one instance per user."""
-    table = _as_table(specs)
-    spec = table.specs[j]
-    u = int(state.users[k, j])
-    lat = instance_latency(state, k, j, costs, rate)
-    fin = instance_financial(state, k, j, costs)
-    if u == 0:
-        sla = 0.0
-    elif k == state.cloud:
-        sla = sla_cost(spec, spec.qos_max, u)
-    else:
-        sla = sla_cost(spec, qos(spec, u, state.cpu[k, j], state.mem[k, j]), u)
-    return (costs.w1 * lat + costs.w3 * sla + costs.w2 * fin) / max(u, 1)
 
 
 def cost_components(state: AllocationState, table: SpecTable,
@@ -385,19 +293,12 @@ def cost_components(state: AllocationState, table: SpecTable,
     fin[kk] = u_eff[kk] * (newly_off * costs.c_c0 + mem[kk] * costs.c_cv)
 
     sla = np.empty_like(cpu)
-    q_srv = _qos_matrix(table, u[:kk], cpu[:kk], mem[:kk])
+    q_srv = qos(table, u[:kk], cpu[:kk], mem[:kk])
     sla[:kk] = (table.gamma_sla * (q_srv < table.qos_min) - q_srv) * u[:kk]
     sla[kk] = -table.qos_max * u[kk]  # offloaded users always see the QoS ceiling
 
     num = costs.w1 * lat + costs.w3 * sla + costs.w2 * fin
     return lat, fin, sla, num
-
-
-def network_cost(state: AllocationState, costs: CostParams, specs, rate: float) -> float:
-    """Total weighted cost of every instance, normalized by the user count."""
-    table = _as_table(specs)
-    _, _, _, num = cost_components(state, table, costs, rate)
-    return float(num.sum() / max(int(state.users.sum()), 1))
 
 
 def agent_cost(inst_cost: float, net_cost: float, beta: float, gamma_max: float) -> float:
@@ -423,24 +324,21 @@ def sample_cloud_rate(traffic: TrafficConfig, rng: np.random.Generator) -> float
     return max(float(rng.normal(traffic.mu_r, traffic.sigma_r)), traffic.r_min)
 
 
-def apply_departures(state: AllocationState, specs, rng: np.random.Generator) -> np.ndarray:
+def apply_departures(state: AllocationState, table: SpecTable,
+                     rng: np.random.Generator) -> np.ndarray:
     """End-of-slot geometric service: each user leaves w.p. 1 - p_stay.
 
     Returns the per-(row, vnf) leaver counts. Cloud rows are rebooked to the
     per-user upper bounds for the remaining users, or terminated at zero."""
-    table = _as_table(specs)
     leavers = rng.binomial(state.users, 1.0 - table.p_stay)
     state.users -= leavers
-    _refresh_cloud(state, table)
-    return leavers
-
-
-def _refresh_cloud(state: AllocationState, table: SpecTable):
     kk = state.cloud
     u = state.users[kk].astype(np.float64)
+    _, c_up, _, m_up = resource_range(table, u)
     live = u > 0
-    state.cpu[kk] = np.where(live, table.c0 + (table.cr + table.dc) * u, 0.0)
-    state.mem[kk] = np.where(live, table.m0 + (table.mr + table.dm) * u, 0.0)
+    state.cpu[kk] = np.where(live, c_up, 0.0)
+    state.mem[kk] = np.where(live, m_up, 0.0)
+    return leavers
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""End-to-end acceptance checks: cost oracles, gradient probes, learner
-mechanics, desk-scale learning and benchmark ordering, reproducibility.
+"""End-to-end acceptance checks: the cost kernel against the independent
+oracle (tests/reference.py), gradient probes, learner mechanics, desk-scale
+learning and benchmark ordering, reproducibility.
 
 The desk-scale fixture (three servers, three services, 20k epochs, three
 seeds) is trained once and shared by the learning and comparison checks.
@@ -13,10 +14,10 @@ import time
 import numpy as np
 import pytest
 
+from reference import check_kernel, qos_reference, random_populated_state, random_spec
 from vnf_lab import cli, harness, nn
 from vnf_lab.baselines import CloudAgent, GreedyAgent
-from vnf_lab.env import (AllocationState, CostParams, VnfSpec, instance_cost,
-                         network_cost, qos, resource_range)
+from vnf_lab.env import CostParams, SpecTable, VnfSpec, cost_components, qos, resource_range
 from vnf_lab.pat import PatAgent, PatConfig
 
 SPEC0 = VnfSpec(0, 3, 5, 4, 6, 5, 3, 35, 70, 2, 2.0, 1.5)
@@ -28,35 +29,6 @@ SEEDS = (0, 1, 2)
 
 # ---------------------------------------------------------------------------
 # quality model against an independently coded reference
-
-def qos_reference(spec, u, c, m):
-    """Piecewise quality, written as a plain lerp between the band edges."""
-    lo_c = spec.c0 + (spec.cr - spec.dc) * u
-    hi_c = spec.c0 + (spec.cr + spec.dc) * u
-    lo_m = spec.m0 + (spec.mr - spec.dm) * u
-    hi_m = spec.m0 + (spec.mr + spec.dm) * u
-    if c > hi_c and m > hi_m:
-        return float(spec.qos_max)
-    if c < lo_c or m < lo_m:
-        return 0.0
-    lo, hi = lo_c + lo_m, hi_c + hi_m
-    if hi <= lo:
-        return float(spec.qos_max)
-    t = (min(c, hi_c) + min(m, hi_m) - lo) / (hi - lo)
-    return float(spec.qos_min * (1.0 - t) + spec.qos_max * t)
-
-
-def random_spec(rng, i=0) -> VnfSpec:
-    dc = float(rng.uniform(0, 3))
-    dm = float(rng.uniform(0, 3))
-    qos_min = float(rng.uniform(5, 60))
-    return VnfSpec(i,
-                   c0=float(rng.uniform(0, 5)), cr=dc + float(rng.uniform(0.5, 4)), dc=dc,
-                   m0=float(rng.uniform(0, 6)), mr=dm + float(rng.uniform(0.5, 4)), dm=dm,
-                   qos_min=qos_min, qos_max=qos_min + float(rng.uniform(1, 60)),
-                   gamma_sla=float(rng.uniform(0, 4)),
-                   mu_arr=2.0, sigma_arr=0.5)
-
 
 def test_quality_model_matches_independent_oracle():
     start = time.time()
@@ -84,45 +56,18 @@ def test_quality_model_matches_independent_oracle():
 
 
 # ---------------------------------------------------------------------------
-# per-instance costs aggregate exactly into the network cost
-
-def random_populated_state(rng):
-    """Allocation where every deployed instance carries at least one user."""
-    k = int(rng.integers(2, 5))
-    n = int(rng.integers(2, 5))
-    specs = [random_spec(rng, i) for i in range(n)]
-    st = AllocationState(k, n)
-    for row in range(k + 1):
-        for j in range(n):
-            if rng.random() >= 0.55:
-                continue
-            u = int(rng.integers(1, 6))
-            if row == k:
-                _, c_up, _, m_up = resource_range(specs[j], u)
-                st.cpu[row, j], st.mem[row, j] = c_up, m_up
-            else:
-                st.cpu[row, j] = float(rng.uniform(0.5, 15))
-                st.mem[row, j] = float(rng.uniform(0.5, 15))
-            st.users[row, j] = u
-    keep = rng.random(st.cpu.shape) < 0.5
-    st.cpu_prev = np.where(keep, st.cpu * rng.uniform(0, 2, st.cpu.shape), 0.0)
-    st.mem_prev = np.where(keep, st.mem * rng.uniform(0, 2, st.mem.shape), 0.0)
-    st.server_active_prev = rng.random(k) < 0.5
-    return st, specs
-
+# the network cost aggregates per-instance costs as the oracle adds them up
 
 def test_network_cost_aggregates_instance_costs():
     rng = np.random.default_rng(777)
     costs = CostParams()
     for rep in range(1200):
-        st, specs = random_populated_state(rng)
+        k, n = int(rng.integers(2, 5)), int(rng.integers(2, 5))
+        specs = [random_spec(rng, i) for i in range(n)]
+        st = random_populated_state(rng, k, specs)
         rate = float(rng.uniform(1.0, 16.0))
-        total_u = int(st.users.sum())
-        lhs = network_cost(st, costs, specs, rate) * max(total_u, 1)
-        rhs = sum(int(st.users[row, j]) * instance_cost(st, row, j, costs, specs, rate)
-                  for row in range(st.k_servers + 1) for j in range(st.n_vnfs)
-                  if st.users[row, j] > 0)
-        assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9), rep
+        mats = cost_components(st, SpecTable(specs), costs, rate)
+        assert check_kernel(mats, st, specs, costs, rate, f"rep {rep}") == []
 
 
 # ---------------------------------------------------------------------------

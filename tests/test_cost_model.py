@@ -1,49 +1,17 @@
-"""Cost-model unit tests against independently coded oracles and frozen values."""
-
-import math
+"""Cost-model unit tests: the cost kernel against the independent oracle
+(tests/reference.py) and against frozen hand values on tiny states."""
 
 import numpy as np
 import pytest
 
+from reference import check_kernel, qos_reference, random_populated_state, random_spec
 from vnf_lab.env import (VnfSpec, CostParams, PoolConfig, AllocationState,
-                         SpecTable, resource_range, qos, resize_latency,
-                         deployment_latency, offload_latency, instance_latency,
-                         instance_financial, sla_cost, instance_cost,
-                         network_cost, agent_cost, cost_components)
+                         SpecTable, resource_range, qos, agent_cost, cost_components)
+from vnf_lab.harness import default_vnfs
 
 N1 = VnfSpec(0, 3, 5, 4, 6, 5, 3, 35, 70, 2, 2.0, 1.5)
 N6 = VnfSpec(5, 1, 2, 1, 0, 3, 2, 5, 30, 2, 2.0, 1.5)
 COSTS = CostParams()
-
-
-def qos_oracle(spec, u, c, m):
-    """Independent piecewise evaluation used to cross-check qos()."""
-    c_low = spec.c0 + (spec.cr - spec.dc) * u
-    c_up = spec.c0 + (spec.cr + spec.dc) * u
-    m_low = spec.m0 + (spec.mr - spec.dm) * u
-    m_up = spec.m0 + (spec.mr + spec.dm) * u
-    if c > c_up and m > m_up:
-        return spec.qos_max
-    if c < c_low or m < m_low:
-        return 0.0
-    if c_up + m_up <= c_low + m_low:
-        return spec.qos_max
-    r = min(c, c_up) + min(m, m_up)
-    frac = (r - (c_low + m_low)) / ((c_up + m_up) - (c_low + m_low))
-    return spec.qos_min + frac * (spec.qos_max - spec.qos_min)
-
-
-def random_spec(rng, idx=0):
-    c0 = rng.uniform(0, 5)
-    dc = rng.uniform(0, 4)
-    cr = dc + rng.uniform(0.5, 5)
-    m0 = rng.uniform(0, 5)
-    dm = rng.uniform(0, 4)
-    mr = dm + rng.uniform(0.5, 5)
-    qmin = rng.uniform(0, 60)
-    qmax = qmin + rng.uniform(0, 60)
-    return VnfSpec(idx, c0, cr, dc, m0, mr, dm, qmin, qmax,
-                   rng.uniform(0, 5), rng.uniform(0, 5), rng.uniform(0, 2))
 
 
 class TestResourceRange:
@@ -89,9 +57,24 @@ class TestQos:
             c = rng.uniform(-2, c_up * 1.5 + 2)
             m = rng.uniform(-2, m_up * 1.5 + 2)
             got = qos(spec, u, c, m)
-            want = qos_oracle(spec, u, c, m)
+            want = qos_reference(spec, u, c, m)
             assert got == pytest.approx(want, abs=1e-9)
             assert 0.0 <= got <= spec.qos_max + 1e-12
+
+    @pytest.mark.parametrize("u", range(1, 9))
+    def test_band_edges_stay_inside_the_band(self, u):
+        # slope * x + offset lands just below qos_min at the lower edge for
+        # some catalogue rows (VNFs 4, 5 and 9 at u = 3); the floor must hold
+        table = SpecTable(default_vnfs(10))
+        st = make_state(k_servers=2, n_vnfs=10)
+        st.users[:2] = u
+        c_low, c_up, m_low, m_up = resource_range(table, u)
+        st.cpu[:2], st.mem[:2] = (c_low, c_up), (m_low, m_up)
+        q = qos(table, st.users[:2], st.cpu[:2], st.mem[:2])
+        assert (q[0] >= table.qos_min).all() and (q[1] <= table.qos_max).all()
+        sla = cost_components(st, table, COSTS, 10.0)[2]
+        assert sla[0] == pytest.approx(-table.qos_min * u, rel=1e-12)
+        assert sla[1] == pytest.approx(-table.qos_max * u, rel=1e-12)
 
     def test_monotone_inside_band(self):
         rng = np.random.default_rng(12)
@@ -105,23 +88,41 @@ class TestQos:
             assert qos(spec, u, min(c + step, c_up), m) >= qos(spec, u, c, m) - 1e-12
 
 
-class TestLatencies:
-    def test_resize_is_l1_weighted(self):
-        assert resize_latency(COSTS, 7, 4, 10, 8) == 3 * 3 + 2 * 4
-        assert resize_latency(COSTS, 4, 7, 8, 10) == 3 * 3 + 2 * 4
-
-    def test_deployment_only_on_boot(self):
-        assert deployment_latency(COSTS, 0, 4) == 20
-        assert deployment_latency(COSTS, 4, 8) == 0
-        assert deployment_latency(COSTS, 0, 0) == 0
-
-    def test_offload_roundtrip(self):
-        assert offload_latency(COSTS, 14, 1.0) == 28
-        assert offload_latency(COSTS, 14, 14.0) == 2
-
-
 def make_state(k_servers=3, n_vnfs=3):
     return AllocationState(k_servers, n_vnfs)
+
+
+def components(st, specs=None, costs=COSTS, rate=10.0):
+    """(latency, financial, sla, numerator) matrices of cost_components."""
+    specs = specs or [N1] * st.n_vnfs
+    return cost_components(st, SpecTable(specs), costs, rate)
+
+
+class TestLatencies:
+    def test_resize_is_l1_weighted(self):
+        for now, before in (((7, 10), (4, 8)), ((4, 8), (7, 10))):
+            st = make_state()
+            st.cpu[0, 0], st.mem[0, 0] = now
+            st.cpu_prev[0, 0], st.mem_prev[0, 0] = before
+            st.users[0, 0] = 1
+            assert components(st)[0][0, 0] == 3 * 3 + 2 * 4
+
+    def test_deployment_only_on_boot(self):
+        # resize weights off, so each cell's latency is its boot charge
+        costs = CostParams(d_rc=0.0, d_rm=0.0)
+        st = make_state()
+        st.users[:3, 0] = 1
+        st.cpu_prev[:3, 0] = (0, 4, 0)
+        st.cpu[:3, 0] = (4, 8, 0)
+        assert list(components(st, costs=costs)[0][:3, 0]) == [20, 0, 0]
+
+    def test_offload_roundtrip(self):
+        st = make_state()
+        cl = st.cloud
+        st.users[cl, 0] = 1
+        st.cpu[cl, 0], st.mem[cl, 0] = 12, 14
+        assert components(st, rate=1.0)[0][cl, 0] == 28
+        assert components(st, rate=14.0)[0][cl, 0] == 2
 
 
 class TestInstanceCosts:
@@ -130,22 +131,22 @@ class TestInstanceCosts:
         st.cpu[0, 0], st.mem[0, 0], st.users[0, 0] = 4, 8, 1
         st.cpu_prev[0, 0], st.mem_prev[0, 0] = 4, 8
         st.server_active_prev[0] = True
-        assert instance_financial(st, 0, 0, COSTS) == pytest.approx(48.1, abs=1e-12)
+        assert components(st)[1][0, 0] == pytest.approx(48.1, abs=1e-12)
 
     def test_idle_deployment_still_pays_one_user(self):
         st = make_state(k_servers=10, n_vnfs=10)
         st.cpu[0, 0], st.mem[0, 0] = 4, 8
         st.server_active_prev[0] = True
-        assert instance_financial(st, 0, 0, COSTS) == pytest.approx(48.1, abs=1e-12)
+        assert components(st)[1][0, 0] == pytest.approx(48.1, abs=1e-12)
 
     def test_undeployed_is_free(self):
         st = make_state()
-        assert instance_financial(st, 0, 0, COSTS) == 0.0
+        assert components(st)[1][0, 0] == 0.0
 
     def test_power_on_share_charged_once_per_server(self):
         st = make_state(k_servers=10, n_vnfs=10)
         st.cpu[0, 0], st.mem[0, 0], st.users[0, 0] = 4, 8, 1
-        assert instance_financial(st, 0, 0, COSTS) == pytest.approx(
+        assert components(st)[1][0, 0] == pytest.approx(
             4 * 6 + 8 * 3 + 2 / 10 + 1 / 10, abs=1e-12)
 
     def test_cloud_new_offload(self):
@@ -153,7 +154,7 @@ class TestInstanceCosts:
         cl = st.cloud
         st.users[cl, 0] = 1
         st.cpu[cl, 0], st.mem[cl, 0] = 12, 14
-        assert instance_financial(st, cl, 0, COSTS) == pytest.approx(43.0, abs=1e-12)
+        assert components(st)[1][cl, 0] == pytest.approx(43.0, abs=1e-12)
 
     def test_cloud_rental_after_first_epoch(self):
         st = make_state(k_servers=10, n_vnfs=10)
@@ -161,34 +162,33 @@ class TestInstanceCosts:
         st.users[cl, 0] = 1
         st.cpu[cl, 0], st.mem[cl, 0] = 12, 14
         st.cpu_prev[cl, 0] = 12
-        assert instance_financial(st, cl, 0, COSTS) == pytest.approx(42.0, abs=1e-12)
+        assert components(st)[1][cl, 0] == pytest.approx(42.0, abs=1e-12)
 
     def test_sla_penalty_and_reward(self):
-        assert sla_cost(N1, 0.0, 3) == 6.0
-        assert sla_cost(N1, 52.5, 2) == -105.0
-        assert sla_cost(N1, 10.0, 0) == 0.0
+        st = make_state()
+        st.users[0, 0], st.cpu[0, 0], st.mem[0, 0] = 3, 4, 9   # starved: qos 0
+        st.users[1, 0], st.cpu[1, 0], st.mem[1, 0] = 2, 13, 16  # mid-band: qos 52.5
+        st.cpu[2, 0], st.mem[2, 0] = 13, 16                     # no users
+        sla = components(st)[2]
+        assert list(sla[:3, 0]) == [6.0, -105.0, 0.0]
 
     def test_instance_latency_cloud(self):
         st = make_state()
         cl = st.cloud
         st.users[cl, 1] = 1
         st.cpu[cl, 1], st.mem[cl, 1] = 12, 14
-        assert instance_latency(st, cl, 1, COSTS, rate=14.0) == pytest.approx(2.0)
+        assert components(st, rate=14.0)[0][cl, 1] == pytest.approx(2.0)
 
     def test_instance_cost_frozen_example(self):
-        # one user, latency 10, qos 52.5 (sla -52.5), financial 48.1, weights (1,1,2)
+        # one user, latency 10, qos 52.5 (sla -52.5), financial 81.1, weights (1,1,2)
         st = make_state(k_servers=10, n_vnfs=10)
-        specs = [VnfSpec(0, 3, 5, 4, 6, 5, 3, 35, 70, 2, 2.0, 1.5)] + \
-            [VnfSpec(i, 1, 2, 1, 0, 3, 2, 5, 30, 2, 2.0, 1.5) for i in range(1, 10)]
         st.cpu[0, 0], st.mem[0, 0], st.users[0, 0] = 8, 11, 1
         st.cpu_prev[0, 0], st.mem_prev[0, 0] = 9, 12.75  # resize back by (1, 1.75)
         st.server_active_prev[0] = True
-        lat = instance_latency(st, 0, 0, COSTS, rate=10.0)
-        assert lat == pytest.approx(1 * 3 + 1.75 * 4, abs=1e-12)  # = 10
-        fin = instance_financial(st, 0, 0, COSTS)
-        assert fin == pytest.approx(8 * 6 + 11 * 3 + 0.1, abs=1e-12)  # = 81.1
-        got = instance_cost(st, 0, 0, COSTS, specs, rate=10.0)
-        assert got == pytest.approx(1 * 10 + 2 * (-52.5) + 1 * 81.1, abs=1e-9)
+        lat, fin, _, num = components(st, [N1] + [N6] * 9)
+        assert lat[0, 0] == pytest.approx(1 * 3 + 1.75 * 4, abs=1e-12)  # = 10
+        assert fin[0, 0] == pytest.approx(8 * 6 + 11 * 3 + 0.1, abs=1e-12)  # = 81.1
+        assert num[0, 0] == pytest.approx(1 * 10 + 2 * (-52.5) + 1 * 81.1, abs=1e-9)
 
     def test_agent_cost_blend_and_clip(self):
         assert agent_cost(-46.9, -40.0, 0.2, 100.0) == pytest.approx(-0.549, abs=1e-12)
@@ -196,51 +196,31 @@ class TestInstanceCosts:
         assert agent_cost(-500.0, 0.0, 0.2, 100.0) == -1.0
 
 
-def random_populated_state(rng, k_servers, specs):
-    """Random consistent allocation: users only on deployed instances, cloud
-    rows bookkept at the per-user upper bounds."""
-    n = len(specs)
-    st = AllocationState(k_servers, n)
-    for k in range(k_servers):
-        for j in range(n):
-            if rng.random() < 0.4:
-                st.cpu[k, j] = rng.uniform(0.5, 12)
-                st.mem[k, j] = rng.uniform(0.5, 12)
-                if rng.random() < 0.8:
-                    st.users[k, j] = rng.integers(1, 8)
-    cl = st.cloud
-    for j in range(n):
-        if rng.random() < 0.5:
-            u = int(rng.integers(1, 8))
-            st.users[cl, j] = u
-            _, c_up, _, m_up = resource_range(specs[j], u)
-            st.cpu[cl, j] = c_up
-            st.mem[cl, j] = m_up
-    mask = rng.random(st.cpu.shape) < 0.5
-    st.cpu_prev = np.where(mask, st.cpu, rng.uniform(0, 12, st.cpu.shape))
-    st.mem_prev = np.where(mask, st.mem, rng.uniform(0, 12, st.mem.shape))
-    st.server_active_prev = rng.random(k_servers) < 0.5
-    return st
+def isolated(st, k, j):
+    """A copy of st holding instance (k, j) alone. An instance's costs depend
+    only on itself, its server's previous activity and the catalogue size."""
+    out = AllocationState(st.k_servers, st.n_vnfs)
+    for name in ("cpu", "mem", "users", "cpu_prev", "mem_prev"):
+        getattr(out, name)[k, j] = getattr(st, name)[k, j]
+    out.server_active_prev = st.server_active_prev.copy()
+    return out
 
 
 class TestNetworkCost:
     def test_empty_network_is_zero(self):
         st = make_state()
-        assert network_cost(st, COSTS, [N1, N6, N1], rate=5.0) == 0.0
+        num = components(st, [N1, N6, N1], rate=5.0)[3]
+        assert num.sum() == 0.0
 
     def test_matches_instance_sum(self):
         rng = np.random.default_rng(21)
         specs = [random_spec(rng, i) for i in range(4)]
-        for _ in range(200):
+        table = SpecTable(specs)
+        for rep in range(200):
             st = random_populated_state(rng, 3, specs)
             rate = rng.uniform(1, 20)
-            total_u = int(st.users.sum())
-            nc = network_cost(st, COSTS, specs, rate)
-            acc = sum(instance_cost(st, k, j, COSTS, specs, rate)
-                      * max(int(st.users[k, j]), 1)
-                      for k in range(4) for j in range(4))
-            # instances with u = 0 contribute their numerator at u_eff = 1
-            assert nc * max(total_u, 1) == pytest.approx(acc, rel=1e-9, abs=1e-9)
+            mats = cost_components(st, table, COSTS, rate)
+            assert check_kernel(mats, st, specs, COSTS, rate, f"rep {rep}") == []
 
     def test_vectorized_components_match_scalar_ops(self):
         rng = np.random.default_rng(22)
@@ -249,22 +229,12 @@ class TestNetworkCost:
         for _ in range(100):
             st = random_populated_state(rng, 2, specs)
             rate = rng.uniform(1, 20)
-            lat, fin, sla, num = cost_components(st, table, COSTS, rate)
+            mats = cost_components(st, table, COSTS, rate)
             for k in range(3):
                 for j in range(5):
-                    assert lat[k, j] == pytest.approx(
-                        instance_latency(st, k, j, COSTS, rate), rel=1e-12, abs=1e-12)
-                    assert fin[k, j] == pytest.approx(
-                        instance_financial(st, k, j, COSTS), rel=1e-12, abs=1e-12)
-                    u = int(st.users[k, j])
-                    if u == 0:
-                        want_sla = 0.0
-                    elif k == st.cloud:
-                        want_sla = sla_cost(specs[j], specs[j].qos_max, u)
-                    else:
-                        want_sla = sla_cost(specs[j], qos(specs[j], u, st.cpu[k, j],
-                                                          st.mem[k, j]), u)
-                    assert sla[k, j] == pytest.approx(want_sla, rel=1e-12, abs=1e-12)
+                    cell = [mat[k:k + 1, j] for mat in mats]
+                    assert check_kernel(cell, isolated(st, k, j), specs, COSTS, rate,
+                                        f"cell ({k}, {j})") == []
 
 
 class TestValidation:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from reference import check_oracle, oracle_figures
 from vnf_lab.env import (VnfSpec, CostParams, PoolConfig, TrafficConfig,
                          ParamAction, EpochTraffic, VnfEnv, resource_range)
 from vnf_lab.harness import default_vnfs
@@ -219,14 +220,14 @@ class TestAdvanceEpoch:
             assert int(env.state.users.sum()) <= admitted
 
     def test_metrics_recomputable_from_snapshot(self):
-        from vnf_lab.env import network_cost
         env = VnfEnv(PoolConfig(k_servers=3, n_vnfs=3), default_vnfs(3),
                      CostParams(), TrafficConfig(), seed=8)
         for _ in range(10):
             summary = env.advance_epoch(offload_policy, keep_snapshot=True)
             st, rate = summary.snapshot
-            again = network_cost(st, env.costs, env.specs, rate)
-            assert again == pytest.approx(summary.metrics.network_cost, rel=1e-9, abs=1e-9)
+            want = oracle_figures(st, env.specs, env.costs, rate)
+            got = {key: getattr(summary.metrics, key) for key in want}
+            assert check_oracle(got, want, f"epoch {summary.metrics.epoch}") == []
 
     def test_cloud_only_metrics(self):
         env = VnfEnv(PoolConfig(k_servers=3, n_vnfs=3), default_vnfs(3),

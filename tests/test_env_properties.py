@@ -1,0 +1,73 @@
+"""Property tests of the environment's invariants: small random pools and
+catalogues, driven by the random and the greedy policy, checked after every
+request and every epoch."""
+
+import dataclasses
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from reference import check_oracle, oracle_figures
+from vnf_lab.baselines import GreedyAgent, RandomAgent
+from vnf_lab.env import CostParams, PoolConfig, TrafficConfig, VnfEnv
+from vnf_lab.harness import default_vnfs
+
+CATALOGUE = default_vnfs(10)
+EPOCHS = 8
+
+
+@st.composite
+def scenarios(draw):
+    """A pool of 1-3 servers, 1-4 catalogue rows (any of the ten, so the
+    rows whose band edges round badly occur), a stay probability, a rate
+    block length, a policy and a seed."""
+    rows = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4, unique=True))
+    p_stay = draw(st.floats(0.0, 1.0))
+    specs = [dataclasses.replace(CATALOGUE[r], id=i, p_stay=p_stay)
+             for i, r in enumerate(rows)]
+    pool = PoolConfig(k_servers=draw(st.integers(1, 3)), rho_max=draw(st.floats(5.0, 60.0)),
+                      eta_max=draw(st.floats(5.0, 60.0)), n_vnfs=len(specs))
+    traffic = TrafficConfig(t_max=draw(st.integers(1, 5)))
+    return pool, specs, traffic, draw(st.sampled_from(["random", "greedy"])), \
+        draw(st.integers(0, 2**32 - 1))
+
+
+def assert_allocation_invariants(state, pool):
+    k = pool.k_servers
+    assert (state.cpu[:k].sum(axis=1) <= pool.rho_max).all()
+    assert (state.mem[:k].sum(axis=1) <= pool.eta_max).all()
+    assert (state.cpu >= 0).all() and (state.mem >= 0).all() and (state.users >= 0).all()
+    # no user sits on a server instance without CPU
+    assert not ((state.users[:k] > 0) & (state.cpu[:k] <= 0)).any()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(scenarios())
+def test_invariants_hold_on_every_request_and_epoch(scenario):
+    pool, specs, traffic, kind, seed = scenario
+    env = VnfEnv(pool, specs, CostParams(), traffic, seed=seed)
+    agent = GreedyAgent(pool, specs) if kind == "greedy" else RandomAgent(pool, seed)
+
+    def checked_policy(features, vnf, state, has_user):
+        assert_allocation_invariants(state, pool)  # the state the last request left
+        return agent.select(features, vnf, state, has_user)
+
+    for _ in range(EPOCHS):
+        before = int(env.state.users.sum())
+        summary = env.advance_epoch(checked_policy, keep_snapshot=True)
+        served, rate = summary.snapshot
+        assert_allocation_invariants(served, pool)
+        assert all(-1.0 <= r.cost_psi <= 1.0 for r in summary.records)
+
+        # every arrival is placed once; departures only remove users
+        arrivals = env.cur.arrivals
+        assert len(summary.records) == int(np.maximum(arrivals, 1).sum())
+        assert int(served.users.sum()) == before + int(arrivals.sum())
+        assert ((env.state.users >= 0) & (env.state.users <= served.users)).all()
+        k = pool.k_servers
+        assert (env.state.cpu[:k] == served.cpu[:k]).all()
+        assert_allocation_invariants(env.state, pool)
+
+        want = oracle_figures(served, specs, env.costs, rate, pool.rho_max, pool.eta_max)
+        got = {key: getattr(summary.metrics, key) for key in want}
+        assert check_oracle(got, want, f"{kind} epoch {summary.metrics.epoch}") == []

@@ -345,6 +345,13 @@ class TestCli:
         assert cli.main(["validate-config", "--config", str(bad)]) == 1
         assert "pool" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["d_dt", "unit_c"])
+    def test_validate_config_rejects_removed_cost_keys(self, tmp_path, capsys, key):
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps({**desk_doc(), "costs": {key: 1.0}}))
+        assert cli.main(["validate-config", "--config", str(path)]) == 1
+        assert f"costs.{key}: unknown key" in capsys.readouterr().err
+
     def test_missing_file_fails_cleanly(self, capsys):
         assert cli.main(["validate-config", "--config", "/no/such.json"]) == 1
         assert "error" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vnf_lab.env import (VnfSpec, TrafficConfig, AllocationState,
+from vnf_lab.env import (VnfSpec, TrafficConfig, AllocationState, SpecTable,
                          sample_rate_block, sample_arrivals, sample_cloud_rate,
                          apply_departures, resource_range)
 
@@ -76,7 +76,7 @@ class TestDepartures:
         st.cpu[0, 0], st.mem[0, 0] = 10, 10
         st.users[0, 0] = 100_000
         rng = np.random.default_rng(13)
-        leavers = apply_departures(st, [spec], rng)
+        leavers = apply_departures(st, SpecTable([spec]), rng)
         assert leavers[0, 0] == pytest.approx(50_000, rel=0.01)
         assert st.users[0, 0] == 100_000 - leavers[0, 0]
 
@@ -86,7 +86,7 @@ class TestDepartures:
         st.users[0] = (1000, 1000)
         specs = [spec_with(1, 0, p_stay=1.0, idx=0), spec_with(1, 0, p_stay=0.0, idx=1)]
         rng = np.random.default_rng(14)
-        apply_departures(st, specs, rng)
+        apply_departures(st, SpecTable(specs), rng)
         assert st.users[0, 0] == 1000  # nobody leaves
         assert st.users[0, 1] == 0     # everybody leaves
 
@@ -98,7 +98,7 @@ class TestDepartures:
         _, c_up, _, m_up = resource_range(spec, 50)
         st.cpu[cl, 0], st.mem[cl, 0] = c_up, m_up
         rng = np.random.default_rng(15)
-        apply_departures(st, [spec], rng)
+        apply_departures(st, SpecTable([spec]), rng)
         u = int(st.users[cl, 0])
         assert 0 < u < 50
         _, c_want, _, m_want = resource_range(spec, u)
@@ -112,7 +112,7 @@ class TestDepartures:
         st.users[cl, 0] = 7
         st.cpu[cl, 0], st.mem[cl, 0] = 20, 30
         rng = np.random.default_rng(16)
-        apply_departures(st, [spec], rng)
+        apply_departures(st, SpecTable([spec]), rng)
         assert st.users[cl, 0] == 0
         assert st.cpu[cl, 0] == 0.0 and st.mem[cl, 0] == 0.0
 
@@ -121,6 +121,6 @@ class TestDepartures:
         st = AllocationState(2, 1)
         st.cpu[0, 0], st.mem[0, 0], st.users[0, 0] = 8, 9, 40
         rng = np.random.default_rng(17)
-        apply_departures(st, [spec], rng)
+        apply_departures(st, SpecTable([spec]), rng)
         assert st.cpu[0, 0] == 8 and st.mem[0, 0] == 9
         assert 0 <= st.users[0, 0] <= 40
