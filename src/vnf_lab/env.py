@@ -7,7 +7,7 @@ stay geometrically, and are placed one request at a time by an agent callback.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -177,23 +177,17 @@ class EpochSummary:
 
 
 class SpecTable:
-    """Column vectors of VnfSpec fields for vectorized cost evaluation."""
+    """The VnfSpec fields as float64 columns (table.c0, ...), and each spec again
+    with its fields as Python floats (table.rows) for the per-cell cost kernel,
+    so int catalogue rows get the same float64 arithmetic."""
 
     def __init__(self, specs):
         self.specs = list(specs)
-        as_vec = lambda name: np.array([getattr(s, name) for s in self.specs], dtype=np.float64)
-        self.c0 = as_vec("c0")
-        self.cr = as_vec("cr")
-        self.dc = as_vec("dc")
-        self.m0 = as_vec("m0")
-        self.mr = as_vec("mr")
-        self.dm = as_vec("dm")
-        self.qos_min = as_vec("qos_min")
-        self.qos_max = as_vec("qos_max")
-        self.gamma_sla = as_vec("gamma_sla")
-        self.mu_arr = as_vec("mu_arr")
-        self.sigma_arr = as_vec("sigma_arr")
-        self.p_stay = as_vec("p_stay")
+        names = [f.name for f in fields(VnfSpec)[1:]]
+        cols = np.array([[getattr(s, n) for n in names] for s in self.specs], dtype=np.float64)
+        for n, col in zip(names, cols.T):
+            setattr(self, n, col.copy())
+        self.rows = [VnfSpec(s.id, *map(float, row)) for s, row in zip(self.specs, cols)]
 
     def __len__(self):
         return len(self.specs)
@@ -247,63 +241,67 @@ def resource_range(spec, u):
     return c_low, c_up, m_low, m_up
 
 
-def qos(spec, u, c, m):
-    """Piecewise QoS: 0 under the band, qos_max above it on both axes, and
-    linear in the capped c + m inside, from qos_min at the lower edge to
-    qos_max at the upper one. Takes one VnfSpec with scalars, or a SpecTable
-    with (rows, N) arrays; cells with u == 0 are junk and must be masked by
-    the caller (cost_components multiplies them by u)."""
+def qos(spec, u, c, m) -> float:
+    """Piecewise QoS of one instance: 0 under the band, qos_max above it on
+    both axes, and linear in the capped c + m inside, from qos_min at the
+    lower edge to qos_max at the upper one."""
     c_low, c_up, m_low, m_up = resource_range(spec, u)
+    if c < c_low or m < m_low:
+        return 0.0
     r_up = c_up + m_up
     r_low = c_low + m_low
     den = r_up - r_low
-    safe = np.where(den > 0, den, 1.0)
-    lin = ((spec.qos_max - spec.qos_min) / safe) * (np.minimum(c, c_up) + np.minimum(m, m_up)) \
-        + (spec.qos_min * r_up - spec.qos_max * r_low) / safe
-    # slope * x + offset can round just past qos_min or qos_max at the edges
-    lin = np.minimum(np.maximum(lin, spec.qos_min), spec.qos_max)
     # a degenerate band (dc = dm = 0) meets the top whenever it is feasible
-    inside = np.where(den > 0, lin, spec.qos_max)
-    out = np.where((c > c_up) & (m > m_up), spec.qos_max, inside)
-    return np.where((c < c_low) | (m < m_low), 0.0, out)
+    if (c > c_up and m > m_up) or not den > 0:
+        return float(spec.qos_max)
+    lin = ((spec.qos_max - spec.qos_min) / den) * (min(c, c_up) + min(m, m_up)) \
+        + (spec.qos_min * r_up - spec.qos_max * r_low) / den
+    # slope * x + offset can round just past qos_min or qos_max at the edges
+    return float(min(max(lin, spec.qos_min), spec.qos_max))
+
+
+def cell_costs(state: AllocationState, spec: VnfSpec, costs: CostParams, rate: float,
+               t: int, j: int):
+    """(latency, financial, sla, weighted numerator) of the instance of VNF j
+    on row t, in plain float arithmetic. It reads no other cell: only a
+    deployed instance pays, and a server holding one is on, which is all its
+    share of the server's power-on and running cost depends on."""
+    u = float(state.users[t, j])
+    c = float(state.cpu[t, j])
+    m = float(state.mem[t, j])
+    c_prev = float(state.cpu_prev[t, j])
+    deployed = c > 0
+    fresh = c_prev == 0 and deployed
+    u_eff = max(u, 1.0) if deployed else 0.0
+    if t == state.k_servers:
+        lat = u * (2.0 * m * costs.unit_b / rate)
+        fin = u_eff * (fresh * costs.c_c0 + m * costs.c_cv)
+        sla = -spec.qos_max * u  # offloaded users always see the QoS ceiling
+    else:
+        delta = abs(c - c_prev) * costs.d_rc + abs(m - float(state.mem_prev[t, j])) * costs.d_rm
+        lat = u * (fresh * costs.d_db + delta)
+        newly = deployed and not state.server_active_prev[t]
+        share = newly * (costs.c_i0 / state.n_vnfs) + deployed * (costs.c_iv / state.n_vnfs)
+        fin = u_eff * (c * costs.c_rp + m * costs.c_rm + share)
+        q = qos(spec, u, c, m)
+        sla = (spec.gamma_sla * (q < spec.qos_min) - q) * u
+    return lat, fin, sla, costs.w1 * lat + costs.w3 * sla + costs.w2 * fin
 
 
 def cost_components(state: AllocationState, table: SpecTable,
                     costs: CostParams, rate: float):
-    """(latency, financial, sla, weighted numerator) matrices over all rows."""
-    kk = state.k_servers
-    u = state.users.astype(np.float64)
-    cpu, mem = state.cpu, state.mem
-
-    delta = np.abs(cpu[:kk] - state.cpu_prev[:kk]) * costs.d_rc \
-        + np.abs(mem[:kk] - state.mem_prev[:kk]) * costs.d_rm
-    fresh = (state.cpu_prev[:kk] == 0) & (cpu[:kk] > 0)
-    lat = np.empty_like(cpu)
-    lat[:kk] = u[:kk] * (fresh * costs.d_db + delta)
-    lat[kk] = u[kk] * (2.0 * mem[kk] * costs.unit_b / rate)
-
-    deployed = cpu > 0
-    u_eff = np.where(deployed, np.maximum(u, 1.0), 0.0)
-    active = cpu[:kk].sum(axis=1) > 0
-    newly = active & ~state.server_active_prev
-    share = (newly * (costs.c_i0 / state.n_vnfs) + active * (costs.c_iv / state.n_vnfs))
-    fin = np.empty_like(cpu)
-    fin[:kk] = u_eff[:kk] * (cpu[:kk] * costs.c_rp + mem[:kk] * costs.c_rm + share[:, None])
-    newly_off = (state.cpu_prev[kk] == 0) & (cpu[kk] > 0)
-    fin[kk] = u_eff[kk] * (newly_off * costs.c_c0 + mem[kk] * costs.c_cv)
-
-    sla = np.empty_like(cpu)
-    q_srv = qos(table, u[:kk], cpu[:kk], mem[:kk])
-    sla[:kk] = (table.gamma_sla * (q_srv < table.qos_min) - q_srv) * u[:kk]
-    sla[kk] = -table.qos_max * u[kk]  # offloaded users always see the QoS ceiling
-
-    num = costs.w1 * lat + costs.w3 * sla + costs.w2 * fin
-    return lat, fin, sla, num
+    """(latency, financial, sla, weighted numerator) matrices over all rows,
+    filled cell by cell from cell_costs."""
+    grid = np.empty((4, state.k_servers + 1, state.n_vnfs))
+    for t in range(state.k_servers + 1):
+        for j, spec in enumerate(table.rows):
+            grid[:, t, j] = cell_costs(state, spec, costs, rate, t, j)
+    return tuple(grid)
 
 
 def agent_cost(inst_cost: float, net_cost: float, beta: float, gamma_max: float) -> float:
     """Training cost: blended instance + network cost squashed into [-1, 1]."""
-    return float(np.clip((inst_cost + beta * net_cost) / gamma_max, -1.0, 1.0))
+    return min(max((inst_cost + beta * net_cost) / gamma_max, -1.0), 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +369,10 @@ class VnfEnv:
         self.lambdas = np.zeros(pool.n_vnfs)
         self.cur: EpochTraffic | None = None
         self.epoch = 0
+        # cost matrices of the current state under the traffic snapshot
+        # _grid_cur (see _cost_grid)
+        self._grid = None
+        self._grid_cur = None
         self._rate_scale = max(traffic.mu_r + 3.0 * traffic.sigma_r, traffic.r_min)
 
     @property
@@ -422,6 +424,16 @@ class VnfEnv:
         st.cpu[st.cloud, j] = c_up
         st.mem[st.cloud, j] = m_up
 
+    def _cost_grid(self):
+        """The (latency, financial, sla, numerator) matrices of the current
+        state, built once per traffic snapshot; apply_action keeps them
+        current."""
+        if self._grid is None or self._grid_cur is not self.cur:
+            self._grid = cost_components(self.state, self.table, self.costs,
+                                         self.cur.cloud_rate)
+            self._grid_cur = self.cur
+        return self._grid
+
     def apply_action(self, vnf: int, action: ParamAction,
                      assign_user: bool = True) -> StepOutcome:
         """Apply one placement decision; infeasible requests fall through to
@@ -457,29 +469,31 @@ class VnfEnv:
                 if assign_user:
                     self._admit_cloud(vnf)
 
-        rate = self.cur.cloud_rate
-        _, _, _, num = cost_components(st, self.table, self.costs, rate)
-        if infeasible:
-            where = st.cloud if assign_user else t
-        else:
-            where = t
+        # the one cell this request can change; a cell's costs read no other cell
+        where = st.cloud if infeasible and assign_user else t
+        lat, fin, sla, num = self._cost_grid()
+        lat[where, vnf], fin[where, vnf], sla[where, vnf], num[where, vnf] = cell_costs(
+            st, self.table.rows[vnf], self.costs, self.cur.cloud_rate, where, vnf)
         ic = float(num[where, vnf] / max(int(st.users[where, vnf]), 1))
         nc = float(num.sum() / max(int(st.users.sum()), 1))
         psi = 1.0 if infeasible else agent_cost(ic, nc, self.beta, self.gamma_max)
         return StepOutcome(psi, infeasible, ic, nc, self.encode_state(vnf))
 
-    def _serve(self, j: int, policy, assign_user: bool) -> StepRecord:
-        s = self.encode_state(j)
-        action = policy(s, j, self.state, assign_user)
-        out = self.apply_action(j, action, assign_user)
-        return StepRecord(s, action, out.cost_psi, out.next_state_features,
-                          out.infeasible, assign_user)
+    def _moved_request(self, features: np.ndarray, vnf: int) -> np.ndarray:
+        """encode_state(vnf) from the features of another request on the same
+        state and traffic: a copy with the one-hot request slot moved."""
+        out = features.copy()
+        n = self.pool.n_vnfs
+        out[-n:] = 0.0
+        out[-n + vnf] = 1.0
+        return out
 
     def advance_epoch(self, policy, keep_snapshot: bool = False) -> EpochSummary:
         """Run one slot: sample traffic, serve every request (idle VNFs get a
         single no-user visit), collect metrics, then apply departures.
 
-        policy(features, vnf, state, has_user) -> ParamAction
+        policy(features, vnf, state, has_user) -> ParamAction; it must not
+        change state, whose features are carried from one request to the next.
         """
         if self.epoch % self.traffic_cfg.t_max == 0:
             self.lambdas = np.array(
@@ -491,25 +505,30 @@ class VnfEnv:
         order = self.rng_traffic.permutation(self.pool.n_vnfs)
 
         records = []
+        after = None
         for j in order:
-            count = int(arrivals[j])
-            if count == 0:
-                records.append(self._serve(int(j), policy, False))
-            else:
-                for _ in range(count):
-                    records.append(self._serve(int(j), policy, True))
+            j = int(j)
+            has_user = bool(arrivals[j] > 0)
+            for _ in range(max(int(arrivals[j]), 1)):
+                s = self.encode_state(j) if after is None else self._moved_request(after, j)
+                action = policy(s, j, self.state, has_user)
+                out = self.apply_action(j, action, has_user)
+                after = out.next_state_features
+                records.append(StepRecord(s, action, out.cost_psi, after,
+                                          out.infeasible, has_user))
 
-        metrics = self._epoch_metrics(records, rate)
+        metrics = self._epoch_metrics(records)
         snapshot = (self.state.copy(), rate) if keep_snapshot else None
         apply_departures(self.state, self.table, self.rng_departures)
         self.state.snapshot_prev()
+        self._grid = None  # departures and the new reference point change every cell
         self.epoch += 1
         return EpochSummary(metrics, records, snapshot)
 
-    def _epoch_metrics(self, records, rate: float) -> EpochMetrics:
+    def _epoch_metrics(self, records) -> EpochMetrics:
         st = self.state
         k = self.pool.k_servers
-        lat, fin, sla, num = cost_components(st, self.table, self.costs, rate)
+        lat, fin, sla, num = self._cost_grid()
         total_u = int(st.users.sum())
         du = max(total_u, 1)
         return EpochMetrics(

@@ -14,6 +14,7 @@ checkpoints.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, asdict
 
@@ -248,6 +249,10 @@ class LearnerBase:
             return {"trained": False, "eps": self.eps, "clip_c": self.clip_c}
         stats = self._update(self.buffer.sample(self.cfg.batch_size, self.rng))
         self.updates += 1
+        for key, value in stats.items():
+            if not math.isfinite(value):
+                raise FloatingPointError(f"{self._KIND} update {self.updates}: "
+                                         f"{key} is {value}")
         return {"trained": True, **stats, "eps": self.eps, "clip_c": self.clip_c}
 
     def _update(self, batch) -> dict:

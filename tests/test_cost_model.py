@@ -70,8 +70,9 @@ class TestQos:
         st.users[:2] = u
         c_low, c_up, m_low, m_up = resource_range(table, u)
         st.cpu[:2], st.mem[:2] = (c_low, c_up), (m_low, m_up)
-        q = qos(table, st.users[:2], st.cpu[:2], st.mem[:2])
-        assert (q[0] >= table.qos_min).all() and (q[1] <= table.qos_max).all()
+        for j, spec in enumerate(table.rows):
+            assert qos(spec, u, st.cpu[0, j], st.mem[0, j]) >= spec.qos_min
+            assert qos(spec, u, st.cpu[1, j], st.mem[1, j]) <= spec.qos_max
         sla = cost_components(st, table, COSTS, 10.0)[2]
         assert sla[0] == pytest.approx(-table.qos_min * u, rel=1e-12)
         assert sla[1] == pytest.approx(-table.qos_max * u, rel=1e-12)

@@ -1,6 +1,8 @@
 """Property tests of the environment's invariants: small random pools and
 catalogues, driven by the random and the greedy policy, checked after every
-request and every epoch."""
+request and every epoch. Among them: the cost matrices the environment keeps
+and refreshes cell by cell equal a fresh cost_components of the state, and
+the features a request is given equal a fresh encode_state."""
 
 import dataclasses
 
@@ -9,7 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from reference import check_oracle, oracle_figures
 from vnf_lab.baselines import GreedyAgent, RandomAgent
-from vnf_lab.env import CostParams, PoolConfig, TrafficConfig, VnfEnv
+from vnf_lab.env import (CostParams, PoolConfig, TrafficConfig, VnfEnv, agent_cost,
+                         cost_components)
 from vnf_lab.harness import default_vnfs
 
 CATALOGUE = default_vnfs(10)
@@ -41,6 +44,20 @@ def assert_allocation_invariants(state, pool):
     assert not ((state.users[:k] > 0) & (state.cpu[:k] <= 0)).any()
 
 
+def fresh_psi(env, vnf, action, out):
+    """Check the environment's kept cost matrices against a fresh grid of the
+    current state, bit for bit, and return the request's psi from that grid."""
+    fresh = cost_components(env.state, env.table, env.costs, env.cur.cloud_rate)
+    for kept, want in zip(env._grid, fresh):
+        assert np.array_equal(kept, want) and np.array_equal(np.signbit(kept), np.signbit(want))
+    if out.infeasible:
+        return 1.0
+    num, users = fresh[3], env.state.users
+    ic = float(num[action.target, vnf] / max(int(users[action.target, vnf]), 1))
+    nc = float(num.sum() / max(int(users.sum()), 1))
+    return agent_cost(ic, nc, env.beta, env.gamma_max)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(scenarios())
 def test_invariants_hold_on_every_request_and_epoch(scenario):
@@ -50,14 +67,26 @@ def test_invariants_hold_on_every_request_and_epoch(scenario):
 
     def checked_policy(features, vnf, state, has_user):
         assert_allocation_invariants(state, pool)  # the state the last request left
+        # carried over from the last request's next state, with the request moved
+        assert np.array_equal(features, env.encode_state(vnf))
         return agent.select(features, vnf, state, has_user)
 
+    apply_action, psis = env.apply_action, []
+
+    def checked_apply(vnf, action, assign_user=True):
+        out = apply_action(vnf, action, assign_user)
+        psis.append(fresh_psi(env, vnf, action, out))
+        return out
+
+    env.apply_action = checked_apply
     for _ in range(EPOCHS):
         before = int(env.state.users.sum())
+        psis.clear()
         summary = env.advance_epoch(checked_policy, keep_snapshot=True)
         served, rate = summary.snapshot
         assert_allocation_invariants(served, pool)
         assert all(-1.0 <= r.cost_psi <= 1.0 for r in summary.records)
+        assert [r.cost_psi for r in summary.records] == psis
 
         # every arrival is placed once; departures only remove users
         arrivals = env.cur.arrivals

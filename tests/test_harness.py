@@ -1,11 +1,16 @@
 """Experiment harness: config documents, seeding, CSV output, comparisons, CLI."""
 
 import dataclasses
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import vnf_lab
 from vnf_lab import cli, harness
 from vnf_lab.baselines import CloudAgent, GreedyAgent
 from vnf_lab.env import EpochMetrics
@@ -331,6 +336,23 @@ class TestCli:
         path.write_text(json.dumps(desk_doc(agent, **run)))
         return str(path)
 
+    # sha256 of metrics.csv from `train --agent KIND --epochs 30 --seed 7` on
+    # the exported 10x10 defaults, without evaluation epochs; these agents
+    # make no BLAS calls, so the bytes depend only on the code and numpy's rng
+    @pytest.mark.parametrize("kind, digest", [
+        ("random", "f82e8f32a837cb2caf2d42552342f36d15e620ed4bf35c1c7022644d1839a52f"),
+        ("greedy", "603056d4b94b724807620dd0d5c28680729525bf0af0e50ba0fd840294189d93"),
+    ])
+    def test_train_metrics_bytes_are_frozen(self, tmp_path, kind, digest):
+        doc = json.loads(export_defaults())
+        doc["run"]["eval_epochs"] = 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", str(path), "--agent", kind, "--epochs", "30",
+                         "--seed", "7", "--out", str(out), "--quiet"]) == 0
+        assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == digest
+
     def test_export_defaults_stdout(self, capsys):
         assert cli.main(["export-defaults"]) == 0
         out = capsys.readouterr().out
@@ -428,3 +450,19 @@ class TestCli:
         printed = capsys.readouterr().out
         assert printed.startswith("greedy:") and "cloud:" in printed
         assert (out / "compare_kpis.csv").exists()
+
+
+class TestBlasThreads:
+    VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+    @pytest.mark.parametrize("preset, want", [(None, "1"), ("3", "3")])
+    def test_import_caps_threads_unless_the_user_set_them(self, preset, want):
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        if preset is not None:
+            env["OPENBLAS_NUM_THREADS"] = preset
+        src = os.path.dirname(os.path.dirname(vnf_lab.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = "import os, vnf_lab; print(*(os.environ[v] for v in %r))" % (self.VARS,)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout.split()
+        assert out == [want, "1", "1"]

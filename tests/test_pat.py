@@ -441,6 +441,24 @@ class TestCheckpoint:
             DdpgPairAgent.load(path)
 
 
+class TestNonFiniteStop:
+    # each kind's critic and the update that first trains it after the clean
+    # first one: a ddpg pair regresses its critic only in phase 1 (updates 3
+    # and 4 at alternation_period 2)
+    @pytest.mark.parametrize("kind, critic, update",
+                             [("pat", "critic_1", 2), ("ddqn", "server_q", 2),
+                              ("ddpg", "critic", 3)])
+    def test_nan_critic_weight_stops_training(self, kind, critic, update):
+        agent = make_learner(kind, seed=40)
+        fill_buffer(agent, np.random.default_rng(41), 8)
+        assert agent.train_step()["trained"]
+        getattr(agent, critic).weights[0][0, 0] = np.nan
+        with pytest.raises(FloatingPointError, match=rf"^{kind} update {update}: \w+ is nan$"):
+            for _ in range(4):
+                agent.train_step()
+        assert agent.updates == update
+
+
 class TestConfigValidation:
     def test_rejects_bad_ranges(self):
         with pytest.raises(ValueError):
