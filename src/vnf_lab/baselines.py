@@ -163,7 +163,6 @@ class DdqnPairAgent(_PairedLearner):
     """Double-DQN over servers paired with a lattice Q-network over deltas."""
 
     _KIND = "ddqn"
-    _NETS = ("server_q", "param_q", "t_server_q", "t_param_q")
     _ADAMS = {"adam_server": "server_q", "adam_param": "param_q"}
 
     def __init__(self, state_dim: int, n_targets: int, grid: DiscretizedGrid,
@@ -207,7 +206,6 @@ class DdpgPairAgent(_PairedLearner):
     and a single critic (no twin minimum, no target smoothing noise)."""
 
     _KIND = "ddpg"
-    _NETS = ("server_q", "actor", "critic", "t_server_q", "t_actor", "t_critic")
     _ADAMS = {"adam_server": "server_q", "adam_actor": "actor", "adam_critic": "critic"}
 
     def __init__(self, state_dim: int, n_targets: int, param_scale,

@@ -12,8 +12,8 @@ from .harness import ConfigError
 from .pat import LearnerBase
 
 
-def _add_common(p, config_required=True):
-    p.add_argument("--config", required=config_required,
+def _add_common(p):
+    p.add_argument("--config", required=True,
                    help="path to a JSON experiment document")
     p.add_argument("--seed", type=int, default=None,
                    help="seed override (falls back to config, then $"
@@ -86,6 +86,10 @@ def main(argv=None) -> int:
                                       "checkpoint: pass --checkpoint or set "
                                       "run.checkpoint_path")
                 agent = type(agent).load(ckpt, seed=seed)
+                got, want = (agent.state_dim, agent.n_targets), (env.feature_length, env.n_targets)
+                if got != want:
+                    raise ConfigError(f"eval: checkpoint {ckpt} has (state_dim, n_targets) "
+                                      f"{got}, but the config's pool gives {want}")
             epochs = args.epochs or cfg.run.eval_epochs or 100
             rows = harness.evaluate_agent(cfg, agent, seed, epochs)
             kpis = harness.compute_kpis(rows)

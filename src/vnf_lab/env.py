@@ -189,9 +189,6 @@ class SpecTable:
             setattr(self, n, col.copy())
         self.rows = [VnfSpec(s.id, *map(float, row)) for s, row in zip(self.specs, cols)]
 
-    def __len__(self):
-        return len(self.specs)
-
 
 class AllocationState:
     """Mutable allocation matrices plus the previous-epoch snapshot."""
@@ -376,10 +373,6 @@ class VnfEnv:
         self._rate_scale = max(traffic.mu_r + 3.0 * traffic.sigma_r, traffic.r_min)
 
     @property
-    def cloud_index(self) -> int:
-        return self.pool.k_servers
-
-    @property
     def n_targets(self) -> int:
         return self.pool.k_servers + 1
 
@@ -388,9 +381,9 @@ class VnfEnv:
         k, n = self.pool.k_servers, self.pool.n_vnfs
         return n + n + (k + 1) * n + k * n + k * n + 1 + n
 
-    def encode_state(self, vnf: int, traffic: EpochTraffic | None = None) -> np.ndarray:
+    def encode_state(self, vnf: int) -> np.ndarray:
         """Normalized feature vector for one pending request."""
-        cur = traffic if traffic is not None else self.cur
+        cur = self.cur
         if cur is None:
             raise ValueError("no epoch traffic available; advance an epoch first")
         k, n = self.pool.k_servers, self.pool.n_vnfs

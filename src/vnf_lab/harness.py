@@ -9,21 +9,23 @@ import csv
 import dataclasses
 import json
 import os
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .env import (VnfSpec, CostParams, PoolConfig, TrafficConfig, VnfEnv,
                   EpochMetrics)
-from .pat import LearnerBase, PatAgent, Transition
+from .pat import LearnerBase, PatAgent
 from .baselines import (GreedyAgent, CloudAgent, RandomAgent, DiscretizedGrid,
                         DdqnPairAgent, DdpgPairAgent)
 
 SEED_ENV_VAR = "VNF_LAB_SEED"
 
-CSV_HEADER = ("epoch,network_cost,latency_per_user,financial_per_user,"
-              "sla_per_user,cpu_util,mem_util,cloud_fraction,active_users,"
-              "mean_reward,eps,clip_c")
+# the one metric schema: metrics.csv has a column per EpochMetrics field, in order
+METRIC_FIELDS = dataclasses.fields(EpochMetrics)
+CSV_HEADER = ",".join(f.name for f in METRIC_FIELDS)
+# the KPIs are epoch means of every metric but the counter and the schedules
+KPI_KEYS = tuple(f.name for f in METRIC_FIELDS if f.name not in ("epoch", "eps", "clip_c"))
 
 # stable stream tags so every agent kind draws from its own seed lineage
 AGENT_KINDS = {"pat": 1, "greedy": 2, "cloud": 3, "random": 4, "ddqn": 5, "ddpg": 6}
@@ -160,19 +162,11 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         if key not in base:
             raise ConfigError(f"agent.{key}: unknown key for agent {kind!r}")
     agent = {**base, **agent_doc}
-    _validate_agent(agent)
+    if kind in RL_CONFIGS:
+        _build_section(RL_CONFIGS[kind], {k: v for k, v in agent.items() if k != "kind"},
+                       "agent")
     run = _build_section(RunConfig, doc.get("run", {}), "run")
     return ExperimentConfig(pool, vnfs, costs, traffic, agent, run)
-
-
-def _validate_agent(agent: dict):
-    kind = agent["kind"]
-    if kind not in RL_CONFIGS:
-        return
-    try:
-        RL_CONFIGS[kind](**{k: v for k, v in agent.items() if k != "kind"})
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"agent: {exc}") from exc
 
 
 def load_config(path) -> ExperimentConfig:
@@ -244,34 +238,22 @@ def format_float(x: float) -> str:
 
 
 def metrics_row(m: EpochMetrics) -> str:
-    return ",".join([
-        str(m.epoch),
-        format_float(m.network_cost),
-        format_float(m.latency_per_user),
-        format_float(m.financial_per_user),
-        format_float(m.sla_per_user),
-        format_float(m.cpu_util),
-        format_float(m.mem_util),
-        format_float(m.cloud_fraction),
-        str(m.active_users),
-        format_float(m.mean_reward),
-        format_float(m.eps),
-        format_float(m.clip_c),
-    ])
+    """One metrics.csv line: int fields as they are, float fields through format_float."""
+    return ",".join(str(getattr(m, f.name)) if f.type in ("int", int)
+                    else format_float(getattr(m, f.name)) for f in METRIC_FIELDS)
 
 
-def _drive(env: VnfEnv, agent, epochs: int, learner: bool,
-           updates_per_epoch: int = 1, sink=None, metrics_every: int = 1):
+def _drive(env: VnfEnv, agent, epochs: int, learner: bool, sink=None,
+           metrics_every: int = 1):
     """Run epochs, feeding transitions/updates to a learner; returns metrics."""
     rows = []
     for _ in range(epochs):
         summary = env.advance_epoch(agent.select)
         if learner:
             for rec in summary.records:
-                agent.store(Transition(rec.state, rec.action.target,
-                                       np.array([rec.action.d_cpu, rec.action.d_mem]),
-                                       -rec.cost_psi, rec.next_state))
-            for _ in range(updates_per_epoch):
+                agent.store(rec.state, rec.action.target, (rec.action.d_cpu, rec.action.d_mem),
+                            -rec.cost_psi, rec.next_state)
+            for _ in range(int(agent.cfg.updates_per_epoch)):
                 agent.train_step()
             summary.metrics.eps = agent.eps
             summary.metrics.clip_c = agent.clip_c
@@ -286,10 +268,7 @@ def compute_kpis(rows) -> dict:
     """Epoch means of the headline metrics."""
     if not rows:
         return {}
-    keys = ("network_cost", "latency_per_user", "financial_per_user",
-            "sla_per_user", "cpu_util", "mem_util", "cloud_fraction",
-            "active_users", "mean_reward")
-    return {k: float(np.mean([getattr(m, k) for m in rows])) for k in keys}
+    return {k: float(np.mean([getattr(m, k) for m in rows])) for k in KPI_KEYS}
 
 
 def aggregate_kpis(per_seed: list) -> dict:
@@ -313,7 +292,7 @@ class RunResult:
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None,
-                   quiet: bool = True, log=print) -> RunResult:
+                   quiet: bool = True) -> RunResult:
     """Train (when the agent learns) and evaluate one agent on seeded traces.
 
     Writes metrics.csv, summary.json and checkpoint.npz under out_dir when
@@ -323,7 +302,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None,
     env = build_env(cfg, seed, stream=0)
     agent = build_agent(cfg, env, seed)
     learner = isinstance(agent, LearnerBase)
-    updates = int(cfg.agent.get("updates_per_epoch", 1))
 
     metrics_path = None
     sink = None
@@ -333,13 +311,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None,
         sink = open(metrics_path, "w")
         sink.write(CSV_HEADER + "\n")
     try:
-        train_rows = _drive(env, agent, cfg.run.total_epochs, learner, updates,
-                            sink, cfg.run.metrics_every)
+        train_rows = _drive(env, agent, cfg.run.total_epochs, learner, sink,
+                            cfg.run.metrics_every)
     finally:
         if sink is not None:
             sink.close()
     if not quiet:
-        log(f"[{kind}] seed {seed}: trained {cfg.run.total_epochs} epochs")
+        print(f"[{kind}] seed {seed}: trained {cfg.run.total_epochs} epochs")
 
     eval_rows = []
     if cfg.run.eval_epochs > 0:
@@ -389,18 +367,19 @@ class ComparisonResult:
 
 
 def compare(cfg: ExperimentConfig, agent_names, seeds=None, out_dir=None,
-            quiet: bool = True, log=print) -> ComparisonResult:
+            quiet: bool = True) -> ComparisonResult:
     """Train each learner, then evaluate every agent on the identical traffic
     trace per seed, and tabulate KPI means across seeds."""
     names = list(agent_names)
     if not names:
         raise ConfigError("compare: need at least one agent")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        raise ConfigError(f"compare: agent {', '.join(map(repr, repeated))} named twice")
     seeds = [resolve_seed(cfg)] if seeds is None else [int(s) for s in seeds]
     per_seed = {name: [] for name in names}
     long_rows = []
-    long_keys = ("network_cost", "latency_per_user", "financial_per_user",
-                 "sla_per_user", "cpu_util", "mem_util", "cloud_fraction",
-                 "mean_reward")
+    long_keys = tuple(k for k in KPI_KEYS if k != "active_users")
     for seed in seeds:
         for name in names:
             if cfg.agent.get("kind") == name:
@@ -411,15 +390,14 @@ def compare(cfg: ExperimentConfig, agent_names, seeds=None, out_dir=None,
             env = build_env(acfg, seed, stream=0)
             agent = build_agent(acfg, env, seed)
             if isinstance(agent, LearnerBase):
-                _drive(env, agent, acfg.run.total_epochs, True,
-                       int(acfg.agent.get("updates_per_epoch", 1)))
+                _drive(env, agent, acfg.run.total_epochs, True)
             rows = evaluate_agent(acfg, agent, seed, max(acfg.run.eval_epochs, 1))
             per_seed[name].append(compute_kpis(rows))
             for m in rows:
                 for key in long_keys:
                     long_rows.append((name, seed, m.epoch, key, getattr(m, key)))
             if not quiet:
-                log(f"[compare] seed {seed} agent {name}: done")
+                print(f"[compare] seed {seed} agent {name}: done")
     kpis = {name: aggregate_kpis(per_seed[name]) for name in names}
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -435,18 +413,3 @@ def compare(cfg: ExperimentConfig, agent_names, seeds=None, out_dir=None,
             for row in long_rows:
                 w.writerow([row[0], row[1], row[2], row[3], format_float(row[4])])
     return ComparisonResult(kpis, per_seed, long_rows)
-
-
-def compare_configs(cfgs: list, agent_names, **kwargs) -> ComparisonResult:
-    """Variant taking one config per agent; refuses mismatched environments."""
-    names = list(agent_names)
-    if len(cfgs) != len(names):
-        raise ConfigError("compare: one config per agent expected")
-    base = cfgs[0]
-    for other in cfgs[1:]:
-        same = (other.pool == base.pool and other.vnfs == base.vnfs
-                and other.costs == base.costs and other.traffic == base.traffic
-                and other.run == base.run)
-        if not same:
-            raise ConfigError("compare: configs disagree outside the agent section")
-    return compare(base, names, **kwargs)

@@ -35,11 +35,6 @@ class Mlp:
     def n_out(self):
         return self.sizes[-1]
 
-    def params(self):
-        for w, b in zip(self.weights, self.biases):
-            yield w
-            yield b
-
 
 def gaussian_init(mlp: Mlp, rng: np.random.Generator, std: float = 1e-2):
     """Draw weights via the fan-scaled recipe, then renormalize every layer to

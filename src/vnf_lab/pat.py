@@ -66,37 +66,27 @@ class PatConfig:
             raise ValueError("batch_size cannot exceed buffer_capacity")
 
 
-@dataclass
-class Transition:
-    """Replay record; reward is the negated training cost."""
-
-    state: np.ndarray
-    action_index: int
-    params: np.ndarray
-    reward: float
-    next_state: np.ndarray
-
-
 class ReplayBuffer:
-    """Fixed-capacity ring with uniform with-replacement sampling."""
+    """Fixed-capacity ring with uniform with-replacement sampling of (state,
+    action index, (d_cpu, d_mem), reward = -training cost, next state)."""
 
-    def __init__(self, capacity: int, state_dim: int, param_dim: int = 2):
+    def __init__(self, capacity: int, state_dim: int):
         self.capacity = capacity
         self.states = np.zeros((capacity, state_dim))
         self.actions = np.zeros(capacity, dtype=np.int64)
-        self.params = np.zeros((capacity, param_dim))
+        self.params = np.zeros((capacity, 2))
         self.rewards = np.zeros(capacity)
         self.next_states = np.zeros((capacity, state_dim))
         self.size = 0
         self.cursor = 0
 
-    def add(self, tr: Transition):
+    def add(self, state, action_index: int, params, reward: float, next_state):
         i = self.cursor
-        self.states[i] = tr.state
-        self.actions[i] = tr.action_index
-        self.params[i] = tr.params
-        self.rewards[i] = tr.reward
-        self.next_states[i] = tr.next_state
+        self.states[i] = state
+        self.actions[i] = action_index
+        self.params[i] = params
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
         self.cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -117,22 +107,19 @@ def one_hot(indices, width: int) -> np.ndarray:
 
 def ascend_param_actor(actor: nn.Mlp, adam: nn.AdamState, critic: nn.Mlp,
                        states: np.ndarray, onehots: np.ndarray,
-                       param_scale=None) -> np.ndarray:
+                       param_scale: np.ndarray) -> np.ndarray:
     """One ascent step of the parameter actor through a frozen critic.
 
-    param_scale, when given, is the box bound the critic's param inputs are
-    normalized by; the returned chain rule stays in raw units."""
+    param_scale is the box bound the critic's param inputs are normalized by;
+    the returned chain rule stays in raw units."""
     b = states.shape[0]
     xp = np.concatenate([states, onehots], axis=1)
     p, cache_a = nn.forward_cached(actor, xp)
-    p_in = p if param_scale is None else p / param_scale
-    xc = np.concatenate([states, onehots, p_in], axis=1)
+    xc = np.concatenate([states, onehots, p / param_scale], axis=1)
     _, cache_c = nn.forward_cached(critic, xc)
     gout = np.full((b, 1), 1.0 / b)
     gin = nn.input_grad(critic, cache_c, gout)
-    gp = gin[:, xp.shape[1]:]
-    if param_scale is not None:
-        gp = gp / param_scale
+    gp = gin[:, xp.shape[1]:] / param_scale
     grads, _ = nn.backward(actor, cache_a, -gp)
     adam.step(actor, grads)
     return p
@@ -160,10 +147,10 @@ class LearnerBase:
     and the exploration schedules derived from it, the bounded-delta actor
     step, warm-up gated training and checkpoints.
 
-    A subclass names its kind, its config class, its checkpointed nets
-    (_NETS: the live nets and their lagged t_ copies) and its
-    optimizers (_ADAMS: optimizer -> net), builds the live nets through
-    _init_nets, and implements _update(batch) -> stats. _meta/_from_meta carry
+    A subclass names its kind, its config class and its optimizers (_ADAMS:
+    optimizer -> net), builds the live nets through _init_nets, and
+    implements _update(batch) -> stats. Its checkpointed nets (_NETS) are the
+    live nets in _ADAMS order, then their lagged t_ copies. _meta/_from_meta carry
     the third constructor argument through a checkpoint; the default is the
     parameter box of the actor-based learners."""
 
@@ -171,6 +158,10 @@ class LearnerBase:
     _CONFIG = PatConfig
     _NETS: tuple = ()
     _ADAMS: dict = {}
+
+    def __init_subclass__(cls):
+        live = tuple(cls._ADAMS.values())
+        cls._NETS = live + tuple("t_" + name for name in live)
 
     def __init__(self, state_dim: int, n_targets: int, cfg, seed):
         self.cfg = cfg or self._CONFIG()
@@ -215,8 +206,8 @@ class LearnerBase:
     def set_eval(self, flag: bool):
         self.eval_mode = bool(flag)
 
-    def store(self, tr: Transition):
-        self.buffer.add(tr)
+    def store(self, state, action_index: int, params, reward: float, next_state):
+        self.buffer.add(state, action_index, params, reward, next_state)
 
     def _clipped_noise(self, shape) -> np.ndarray:
         w = self.rng.normal(0.0, self.cfg.sigma_noise, size=shape) * self.scale
@@ -306,8 +297,6 @@ class PatAgent(LearnerBase):
     """Twin-critic learner over parameterized placement actions."""
 
     _KIND = "pat"
-    _NETS = ("actor_action", "actor_param", "critic_1", "critic_2",
-             "t_actor_action", "t_actor_param", "t_critic_1", "t_critic_2")
     _ADAMS = {"adam_actor_action": "actor_action", "adam_actor_param": "actor_param",
               "adam_critic_1": "critic_1", "adam_critic_2": "critic_2"}
 

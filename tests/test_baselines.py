@@ -10,7 +10,7 @@ from vnf_lab.baselines import (BaselineRlConfig, CloudAgent, DdpgPairAgent,
                                DdqnPairAgent, DiscretizedGrid, GreedyAgent,
                                RandomAgent, dqn_update)
 from vnf_lab.env import AllocationState, ParamAction, PoolConfig, VnfSpec, qos, resource_range
-from vnf_lab.pat import Transition, one_hot
+from vnf_lab.pat import one_hot
 
 STATE_DIM = 12
 N_TARGETS = 4
@@ -34,8 +34,8 @@ def fill_learner(agent, rng, n, grid=None):
             p = np.array(grid.delta(int(rng.integers(grid.n_cells))))
         else:
             p = rng.uniform(-50, 50, 2)
-        agent.store(Transition(rng.normal(0, 1, STATE_DIM), a, p,
-                               float(rng.uniform(-1, 1)), rng.normal(0, 1, STATE_DIM)))
+        agent.store(rng.normal(0, 1, STATE_DIM), a, p, float(rng.uniform(-1, 1)),
+                    rng.normal(0, 1, STATE_DIM))
 
 
 class TestGreedy:

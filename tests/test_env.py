@@ -69,21 +69,21 @@ class TestApplyAction:
 
     def test_cloud_target_books_upper_bounds(self):
         env = make_env()
-        out = env.apply_action(1, ParamAction(env.cloud_index))
+        out = env.apply_action(1, ParamAction(env.state.cloud))
         st = env.state
         assert st.users[st.cloud, 1] == 1
         _, c_up, _, m_up = resource_range(env.specs[1], 1)
         assert st.cpu[st.cloud, 1] == c_up and st.mem[st.cloud, 1] == m_up
         assert not out.infeasible
         # second user rebooks the same instance at u = 2
-        env.apply_action(1, ParamAction(env.cloud_index))
+        env.apply_action(1, ParamAction(env.state.cloud))
         _, c_up2, _, m_up2 = resource_range(env.specs[1], 2)
         assert st.cpu[st.cloud, 1] == c_up2 and st.users[st.cloud, 1] == 2
 
     def test_cloud_idle_visit_is_noop(self):
         env = make_env()
         before = env.state.copy()
-        out = env.apply_action(2, ParamAction(env.cloud_index), assign_user=False)
+        out = env.apply_action(2, ParamAction(env.state.cloud), assign_user=False)
         assert not out.infeasible
         assert (env.state.cpu == before.cpu).all()
         assert (env.state.users == before.users).all()
@@ -131,7 +131,7 @@ class TestEncodeState:
     def test_layout_and_normalization(self):
         env = make_env()
         env.apply_action(0, ParamAction(0, 5.0, 10.0))
-        env.apply_action(1, ParamAction(env.cloud_index))
+        env.apply_action(1, ParamAction(env.state.cloud))
         env.cur = EpochTraffic(np.array([2, 0, 1]), np.zeros(3), 8.0, 0)
         s = env.encode_state(2)
         n, k = 3, 3

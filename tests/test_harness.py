@@ -15,7 +15,7 @@ from vnf_lab import cli, harness
 from vnf_lab.baselines import CloudAgent, GreedyAgent
 from vnf_lab.env import EpochMetrics
 from vnf_lab.harness import (CSV_HEADER, ConfigError, aggregate_kpis, compare,
-                             compare_configs, compute_kpis, config_from_dict,
+                             compute_kpis, config_from_dict,
                              config_to_dict, default_vnfs, defaults,
                              export_defaults, format_float, metrics_row,
                              resolve_seed, run_experiment)
@@ -316,15 +316,6 @@ class TestCompare:
         assert long_lines[0] == "agent,seed,epoch,metric,value"
         assert len(long_lines) == 1 + len(result.long_rows)
 
-    def test_compare_configs_refuses_environment_drift(self):
-        a = desk_cfg(agent={"kind": "greedy"})
-        b = config_from_dict({"pool": {"k_servers": 3, "n_vnfs": 3},
-                              "traffic": {"mu_r": 12.0},
-                              "run": {"seed": 3, "total_epochs": 4, "eval_epochs": 3},
-                              "agent": {"kind": "cloud"}})
-        with pytest.raises(ConfigError, match="agent section"):
-            compare_configs([a, b], ["greedy", "cloud"])
-
     def test_compare_needs_agents(self):
         with pytest.raises(ConfigError):
             compare(desk_cfg(), [])
@@ -352,6 +343,26 @@ class TestCli:
         assert cli.main(["train", "--config", str(path), "--agent", kind, "--epochs", "30",
                          "--seed", "7", "--out", str(out), "--quiet"]) == 0
         assert hashlib.sha256((out / "metrics.csv").read_bytes()).hexdigest() == digest
+
+    # sha256 of compare_kpis.csv and compare_long.csv from `compare --agents
+    # greedy,cloud,random --seed 7` on the exported 10x10 defaults with 5
+    # evaluation epochs; they pin the metric schema the tables are built from
+    def test_compare_bytes_are_frozen(self, tmp_path):
+        doc = json.loads(export_defaults())
+        doc["run"]["eval_epochs"] = 5
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "--config", str(path), "--agents", "greedy,cloud,random",
+                         "--seed", "7", "--out", str(out), "--quiet"]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in ("compare_kpis.csv", "compare_long.csv")}
+        assert digests == {
+            "compare_kpis.csv":
+                "48bd35aa242f28f6d6818cd7b11cfc23711ee168bf38424810e134ddc127e1a8",
+            "compare_long.csv":
+                "319bf81e39a2902bf31504b54d13030374a7469ec8495514ab1650f40f867c53",
+        }
 
     def test_export_defaults_stdout(self, capsys):
         assert cli.main(["export-defaults"]) == 0
@@ -440,6 +451,19 @@ class TestCli:
                          str(out / "checkpoint.npz"), "--quiet"]) == 1
         assert "'pat'" in capsys.readouterr().err
 
+    def test_eval_refuses_a_checkpoint_of_another_pool_shape(self, tmp_path, capsys):
+        agent = {"kind": "pat", "warmup_size": 16, "batch_size": 8, "buffer_capacity": 512}
+        path = self.write_cfg(tmp_path, agent=agent, total_epochs=2, eval_epochs=1)
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", path, "--out", str(out), "--quiet"]) == 0
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({**desk_doc(agent), "pool": {"k_servers": 4, "n_vnfs": 3}}))
+        assert cli.main(["eval", "--config", str(wide), "--checkpoint",
+                         str(out / "checkpoint.npz"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        # 3 servers x 3 VNFs give 40 features and 4 targets; 4 servers give 49 and 5
+        assert err.startswith("error:") and "(40, 4)" in err and "(49, 5)" in err
+
     def test_compare_prints_table(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, agent={"kind": "greedy"}, total_epochs=2,
                               eval_epochs=2)
@@ -450,6 +474,14 @@ class TestCli:
         printed = capsys.readouterr().out
         assert printed.startswith("greedy:") and "cloud:" in printed
         assert (out / "compare_kpis.csv").exists()
+
+    def test_compare_refuses_a_repeated_agent(self, tmp_path, capsys):
+        path = self.write_cfg(tmp_path, agent={"kind": "greedy"})
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "--config", path, "--agents", "greedy,greedy,cloud",
+                         "--out", str(out), "--quiet"]) == 1
+        assert "'greedy'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBlasThreads:
@@ -466,3 +498,24 @@ class TestBlasThreads:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout.split()
         assert out == [want, "1", "1"]
+
+
+class TestPerfbench:
+    """The benchmark drives and times the program through entry points it
+    looks up by name; these fail when one of them is renamed or changes its
+    signature. Each runs in its own process, since the hooks patch modules."""
+
+    ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+    def run(self, *args):
+        done = subprocess.run([sys.executable, *args], cwd=self.ROOT, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stdout + done.stderr
+
+    def test_selftest_passes(self):
+        self.run(os.path.join("perfbench", "selftest.py"))
+
+    def test_trace_hooks_install(self):
+        self.run("-c", "import sys; sys.path[:0] = ['src', 'perfbench']; import hooks; "
+                       "from vnf_lab import baselines, env, nn, pat; "
+                       "hooks.Tracer().install(env, nn, pat, baselines)")

@@ -6,7 +6,7 @@ import pytest
 from vnf_lab import nn
 from vnf_lab.baselines import BaselineRlConfig, DdpgPairAgent, DdqnPairAgent, DiscretizedGrid
 from vnf_lab.env import ParamAction
-from vnf_lab.pat import PatAgent, PatConfig, ReplayBuffer, Transition, ascend_param_actor, one_hot
+from vnf_lab.pat import PatAgent, PatConfig, ReplayBuffer, ascend_param_actor, one_hot
 
 STATE_DIM = 12
 N_TARGETS = 4
@@ -32,8 +32,7 @@ def random_batch(rng, b=8):
 def fill_buffer(agent, rng, n):
     states, actions, params, rewards, next_states = random_batch(rng, n)
     for i in range(n):
-        agent.store(Transition(states[i], int(actions[i]), params[i],
-                               float(rewards[i]), next_states[i]))
+        agent.store(states[i], int(actions[i]), params[i], float(rewards[i]), next_states[i])
 
 
 def energize(net, rng, std=0.3):
@@ -48,14 +47,14 @@ class TestReplayBuffer:
     def test_ring_eviction(self):
         buf = ReplayBuffer(4, 2)
         for i in range(6):
-            buf.add(Transition(np.full(2, i), i % 3, np.zeros(2), float(i), np.zeros(2)))
+            buf.add(np.full(2, i), i % 3, np.zeros(2), float(i), np.zeros(2))
         assert buf.size == 4 and buf.cursor == 2
         kept = sorted(buf.states[:, 0].tolist())
         assert kept == [2.0, 3.0, 4.0, 5.0]
 
     def test_single_element_sampling(self):
         buf = ReplayBuffer(8, 2)
-        buf.add(Transition(np.array([7.0, 8.0]), 1, np.array([1.0, 2.0]), 0.5, np.zeros(2)))
+        buf.add(np.array([7.0, 8.0]), 1, (1.0, 2.0), 0.5, np.zeros(2))
         states, actions, params, rewards, _ = buf.sample(5, np.random.default_rng(0))
         assert (states == [7.0, 8.0]).all()
         assert (actions == 1).all() and (rewards == 0.5).all()
@@ -264,7 +263,7 @@ class TestActorUpdate:
                 probes.append((layer, idx, g, actor.weights[layer][idx]))
         assert len(probes) >= 5
         adam = nn.AdamState(actor, lr=1e-4)
-        ascend_param_actor(actor, adam, critic, states, onehots)
+        ascend_param_actor(actor, adam, critic, states, onehots, param_scale=np.ones(2))
         for layer, idx, g, old in probes:
             step = actor.weights[layer][idx] - old
             assert np.sign(step) == np.sign(g), (layer, idx, g, step)
@@ -323,7 +322,7 @@ class TestActorUpdate:
         start = nn.forward(actor, np.concatenate([states, onehots], axis=1))
         assert np.abs(start).max() < 0.5
         for _ in range(1500):
-            mu = ascend_param_actor(actor, adam_a, critic, states, onehots)
+            mu = ascend_param_actor(actor, adam_a, critic, states, onehots, param_scale=np.ones(2))
         assert np.abs(mu - 3.0).mean() < 1.0
 
 
