@@ -50,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> harness.ExperimentConfig:
     cfg = harness.load_config(args.config)
-    if getattr(args, "agent", None):
+    if getattr(args, "agent", None) and args.agent != cfg.agent.get("kind"):
+        # a block already of that kind is kept, as compare keeps it
         cfg = dataclasses.replace(cfg, agent=harness.default_agent_config(args.agent))
     if getattr(args, "epochs", None) is not None:
         if args.epochs < 1:

@@ -253,7 +253,7 @@ def _drive(env: VnfEnv, agent, epochs: int, learner: bool, sink=None,
             for rec in summary.records:
                 agent.store(rec.state, rec.action.target, (rec.action.d_cpu, rec.action.d_mem),
                             -rec.cost_psi, rec.next_state)
-            for _ in range(int(agent.cfg.updates_per_epoch)):
+            for _ in range(agent.cfg.updates_per_epoch):
                 agent.train_step()
             summary.metrics.eps = agent.eps
             summary.metrics.clip_c = agent.clip_c

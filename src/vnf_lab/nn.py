@@ -1,8 +1,11 @@
 """Small dense-network toolkit: forward with cached activations, exact
-backprop for parameters and inputs, Adam, soft target blending, checkpoints.
+backprop (weight gradients in backward, the input gradient in input_grad),
+Adam, soft target blending, checkpoints.
 
 Everything is float64 numpy. Hidden layers use leaky ReLU (slope 0.01);
-the output head is linear or tanh scaled componentwise.
+the output head is linear or tanh scaled componentwise. Adam and the soft
+update work in place but keep the textbook's operations in their order, so
+their results are the same bits as the plain formulas.
 """
 
 from __future__ import annotations
@@ -61,6 +64,19 @@ def _promote(x):
     return x, False
 
 
+def leaky_relu(z):
+    """z where z >= 0, LEAKY_SLOPE * z elsewhere. The slope is below 1, so
+    the larger of the two is the right one for every z, -0 and NaN included."""
+    a = np.multiply(z, LEAKY_SLOPE)
+    return np.maximum(z, a, out=a)
+
+
+def leaky_relu_slope(z):
+    """The activation's derivative: exactly 1.0 where z >= 0 and LEAKY_SLOPE
+    elsewhere (NaN included)."""
+    return (z >= 0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE
+
+
 def forward_cached(mlp: Mlp, x):
     """Returns (output, cache). Pure: parameters are never touched."""
     a, single = _promote(x)
@@ -68,10 +84,11 @@ def forward_cached(mlp: Mlp, x):
     zs = []
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         zs.append(z)
         if i < last:
-            a = np.where(z >= 0, z, LEAKY_SLOPE * z)
+            a = leaky_relu(z)
             acts.append(a)
     if mlp.head_scale is None:
         y = zs[-1]
@@ -88,29 +105,46 @@ def forward(mlp: Mlp, x):
     return y
 
 
-def backward(mlp: Mlp, cache, grad_out):
-    """Backprop grad_out (dL/dy) through the cached pass.
-
-    Returns (grads, grad_in) where grads is a list of (dW, db) matching the
-    layer order and grad_in is dL/dx."""
-    acts, zs, t, single = cache
+def _head_grad(mlp: Mlp, t, grad_out):
+    """dL/dz of the output layer from dL/dy."""
     g = np.asarray(grad_out, dtype=np.float64)
     if g.ndim == 1:
         g = g[None, :]
     if mlp.head_scale is not None:
         g = g * mlp.head_scale * (1.0 - t * t)
+    return g
+
+
+def _through_layer(mlp: Mlp, zs, i: int, g):
+    """dL/dz of hidden layer i - 1 from dL/dz of layer i."""
+    g = g @ mlp.weights[i]
+    g *= leaky_relu_slope(zs[i - 1])
+    return g
+
+
+def backward(mlp: Mlp, cache, grad_out):
+    """Backprop grad_out (dL/dy) through the cached pass.
+
+    Returns the weight gradients only: a list of (dW, db) in layer order.
+    input_grad gives dL/dx."""
+    acts, zs, t, _ = cache
+    g = _head_grad(mlp, t, grad_out)
     grads = [None] * len(mlp.weights)
     for i in range(len(mlp.weights) - 1, -1, -1):
         grads[i] = (g.T @ acts[i], g.sum(axis=0))
-        g = g @ mlp.weights[i]
         if i > 0:
-            g = g * np.where(zs[i - 1] >= 0, 1.0, LEAKY_SLOPE)
-    return grads, (g[0] if single else g)
+            g = _through_layer(mlp, zs, i, g)
+    return grads
 
 
 def input_grad(mlp: Mlp, cache, grad_out):
-    _, gin = backward(mlp, cache, grad_out)
-    return gin
+    """dL/dx of the cached pass, without any weight gradient."""
+    _, zs, t, single = cache
+    g = _head_grad(mlp, t, grad_out)
+    for i in range(len(mlp.weights) - 1, 0, -1):
+        g = _through_layer(mlp, zs, i, g)
+    g = g @ mlp.weights[0]
+    return g[0] if single else g
 
 
 def softmax(x):
@@ -140,28 +174,38 @@ class AdamState:
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
         for i, (dw, db) in enumerate(grads):
-            mw, mb = self.m[i]
-            vw, vb = self.v[i]
-            mw *= self.beta1
-            mw += (1.0 - self.beta1) * dw
-            mb *= self.beta1
-            mb += (1.0 - self.beta1) * db
-            vw *= self.beta2
-            vw += (1.0 - self.beta2) * dw * dw
-            vb *= self.beta2
-            vb += (1.0 - self.beta2) * db * db
-            mlp.weights[i] -= self.lr * (mw / c1) / (np.sqrt(vw / c2) + self.eps)
-            mlp.biases[i] -= self.lr * (mb / c1) / (np.sqrt(vb / c2) + self.eps)
+            (mw, mb), (vw, vb) = self.m[i], self.v[i]
+            self._move(mlp.weights[i], dw, mw, vw, c1, c2)
+            self._move(mlp.biases[i], db, mb, vb, c1, c2)
+
+    def _move(self, p, g, m, v, c1, c2):
+        """m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
+        p -= lr (m / c1) / (sqrt(v / c2) + eps), evaluated in that order
+        through two temporaries."""
+        m *= self.beta1
+        num = np.multiply(g, 1.0 - self.beta1)
+        m += num
+        v *= self.beta2
+        np.multiply(g, 1.0 - self.beta2, out=num)
+        num *= g
+        v += num
+        np.divide(m, c1, out=num)
+        num *= self.lr
+        den = np.divide(v, c2)
+        np.sqrt(den, out=den)
+        den += self.eps
+        num /= den
+        p -= num
 
 
 def soft_update(target: Mlp, source: Mlp, tau: float):
     """target <- tau * source + (1 - tau) * target, elementwise."""
     if target.sizes != source.sizes:
         raise ValueError("target/source shapes differ")
-    for tw, sw in zip(target.weights, source.weights):
-        tw[:] = tau * sw + (1.0 - tau) * tw
-    for tb, sb in zip(target.biases, source.biases):
-        tb[:] = tau * sb + (1.0 - tau) * tb
+    for tp, sp in zip(target.weights + target.biases, source.weights + source.biases):
+        blend = np.multiply(sp, tau)
+        tp *= 1.0 - tau
+        tp += blend
 
 
 # ---------------------------------------------------------------------------

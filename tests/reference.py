@@ -1,5 +1,6 @@
-"""Independent references for the cost-model tests, and the random inputs
-they are checked on.
+"""Independent references for the cost-model tests and the random inputs
+they are checked on, and the plain formulas the in-place nn code must
+reproduce bit for bit.
 
 The figures come from perfbench/oracle.py: the benchmark's scalar cost
 oracle, written from the model's definition without importing
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from vnf_lab.env import AllocationState, VnfSpec, resource_range
+from vnf_lab.nn import LEAKY_SLOPE
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -109,3 +111,81 @@ def random_populated_state(rng, k_servers, specs) -> AllocationState:
         setattr(st, prev, np.select([pick == 0, pick == 1], [now, other], 0.0))
     st.server_active_prev = rng.random(k_servers) < 0.5
     return st
+
+
+# ---------------------------------------------------------------------------
+# the nn formulas as first written: np.where activations, one backward pass
+# for weight and input gradients, Adam and soft updates through temporaries
+
+
+def leaky_where(z):
+    return np.where(z >= 0, z, LEAKY_SLOPE * z)
+
+
+def leaky_factor_where(z):
+    return np.where(z >= 0, 1.0, LEAKY_SLOPE)
+
+
+def forward_cached_reference(mlp, x):
+    a = np.asarray(x, dtype=np.float64)
+    single = a.ndim == 1
+    if single:
+        a = a[None, :]
+    acts, zs = [a], []
+    last = len(mlp.weights) - 1
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = a @ w.T + b
+        zs.append(z)
+        if i < last:
+            a = leaky_where(z)
+            acts.append(a)
+    if mlp.head_scale is None:
+        y, t = zs[-1], None
+    else:
+        t = np.tanh(zs[-1])
+        y = t * mlp.head_scale
+    return (y[0] if single else y), (acts, zs, t, single)
+
+
+def backward_reference(mlp, cache, grad_out):
+    """(weight gradients, input gradient) from one full backprop."""
+    acts, zs, t, single = cache
+    g = np.asarray(grad_out, dtype=np.float64)
+    if g.ndim == 1:
+        g = g[None, :]
+    if mlp.head_scale is not None:
+        g = g * mlp.head_scale * (1.0 - t * t)
+    grads = [None] * len(mlp.weights)
+    for i in range(len(mlp.weights) - 1, -1, -1):
+        grads[i] = (g.T @ acts[i], g.sum(axis=0))
+        g = g @ mlp.weights[i]
+        if i > 0:
+            g = g * leaky_factor_where(zs[i - 1])
+    return grads, (g[0] if single else g)
+
+
+def adam_step_reference(adam, mlp, grads):
+    """One Adam step on adam's moments and mlp's parameters."""
+    adam.t += 1
+    c1 = 1.0 - adam.beta1 ** adam.t
+    c2 = 1.0 - adam.beta2 ** adam.t
+    for i, (dw, db) in enumerate(grads):
+        mw, mb = adam.m[i]
+        vw, vb = adam.v[i]
+        mw *= adam.beta1
+        mw += (1.0 - adam.beta1) * dw
+        mb *= adam.beta1
+        mb += (1.0 - adam.beta1) * db
+        vw *= adam.beta2
+        vw += (1.0 - adam.beta2) * dw * dw
+        vb *= adam.beta2
+        vb += (1.0 - adam.beta2) * db * db
+        mlp.weights[i] -= adam.lr * (mw / c1) / (np.sqrt(vw / c2) + adam.eps)
+        mlp.biases[i] -= adam.lr * (mb / c1) / (np.sqrt(vb / c2) + adam.eps)
+
+
+def soft_update_reference(target, source, tau):
+    for tw, sw in zip(target.weights, source.weights):
+        tw[:] = tau * sw + (1.0 - tau) * tw
+    for tb, sb in zip(target.biases, source.biases):
+        tb[:] = tau * sb + (1.0 - tau) * tb

@@ -84,7 +84,8 @@ def _probe_net(net, rng, n_param_probes, n_input_probes, h=1e-5):
     x = rng.normal(0, 1, (5, net.n_in))
     gout = rng.normal(0, 1, (5, net.n_out))
     _, cache = nn.forward_cached(net, x)
-    grads, gin = nn.backward(net, cache, gout)
+    grads = nn.backward(net, cache, gout)
+    gin = nn.input_grad(net, cache, gout)
 
     def objective():
         return float(np.sum(nn.forward(net, x) * gout))

@@ -1,5 +1,6 @@
 """Experiment harness: config documents, seeding, CSV output, comparisons, CLI."""
 
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -9,6 +10,11 @@ import sys
 
 import numpy as np
 import pytest
+
+try:
+    import resource
+except ImportError:  # not on every platform
+    resource = None
 
 import vnf_lab
 from vnf_lab import cli, harness
@@ -413,6 +419,31 @@ class TestCli:
                          "--out", str(out), "--quiet"]) == 1
         assert "unknown agent" in capsys.readouterr().err
 
+    def test_agent_override_keeps_a_block_of_that_kind(self, tmp_path):
+        agent = {"kind": "pat", "warmup_size": 300, "batch_size": 16, "buffer_capacity": 1000}
+        path = self.write_cfg(tmp_path, agent=agent, eval_epochs=0)
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", path, "--agent", "pat", "--epochs", "60",
+                         "--out", str(out), "--quiet"]) == 0
+        lines = (out / "metrics.csv").read_text().splitlines()
+        # the config's warm-up of 300 transitions, not the default 5000, gated training
+        assert float(lines[-1].split(",")[10]) < 0.8
+
+    @pytest.mark.parametrize("key", ["batch_size", "buffer_capacity", "warmup_size",
+                                     "updates_per_epoch"])
+    @pytest.mark.parametrize("kind, value", [("pat", 16.0), ("pat", True), ("ddqn", 16.0),
+                                             ("ddpg", "16")])
+    def test_integer_agent_keys_must_be_integers(self, tmp_path, capsys, key, kind, value):
+        agent = {"kind": kind, "batch_size": 16, "buffer_capacity": 1000, "warmup_size": 16,
+                 key: value}
+        path = self.write_cfg(tmp_path, agent=agent)
+        assert cli.main(["validate-config", "--config", path]) == 1
+        assert "agent: " in capsys.readouterr().err
+        assert cli.main(["train", "--config", path, "--out", str(tmp_path / "x"),
+                         "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: agent: ") and "integers" in err
+
     def test_eval_writes_csv(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, agent={"kind": "cloud"})
         out = tmp_path / "out"
@@ -498,6 +529,57 @@ class TestBlasThreads:
         out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True).stdout.split()
         assert out == [want, "1", "1"]
+
+
+def _has_glibc_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except OSError:
+        return False
+
+
+@pytest.mark.skipif(resource is None or not _has_glibc_mallopt(),
+                    reason="needs the resource module and glibc mallopt")
+class TestMallocSetting:
+    """From their first update on, the learners keep freed memory in the
+    process, so updates stop faulting their temporaries' pages in again; a
+    malloc setting the user made wins."""
+
+    VARS = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES")
+    CODE = """
+import resource
+import vnf_lab
+import numpy as np
+from vnf_lab import harness
+from vnf_lab.pat import PatAgent, PatConfig
+cfg = harness.config_from_dict({"pool": {"k_servers": 3, "n_vnfs": 3}})
+env = harness.build_env(cfg, 0)
+s, a = env.feature_length, env.n_targets
+agent = PatAgent(s, a, (50.0, 50.0), PatConfig(warmup_size=256, buffer_capacity=1000), seed=0)
+rng = np.random.default_rng(1)
+for _ in range(300):
+    agent.store(rng.normal(0, 1, s), int(rng.integers(a)), rng.uniform(-50, 50, 2),
+                -rng.random(), rng.normal(0, 1, s))
+for _ in range(20):
+    agent.train_step()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    agent.train_step()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+    def faults(self, **preset) -> int:
+        env = {k: v for k, v in os.environ.items() if k not in self.VARS}
+        env.update(preset)
+        src = os.path.dirname(os.path.dirname(vnf_lab.__file__))
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run([sys.executable, "-c", self.CODE], env=env, check=True,
+                             capture_output=True, text=True, timeout=120).stdout
+        return int(out.split()[-1])
+
+    def test_updates_stop_faulting_unless_the_user_set_malloc(self):
+        assert self.faults() < 50
+        assert self.faults(MALLOC_MMAP_THRESHOLD_="131072") >= 50 * 50
 
 
 class TestPerfbench:

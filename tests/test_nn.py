@@ -1,8 +1,10 @@
-"""Dense-network toolkit: init stats, gradient correctness, Adam, targets."""
+"""Dense-network toolkit: init stats, gradient correctness, Adam, targets,
+and bit-for-bit agreement with the plain formulas (tests/reference.py)."""
 
 import numpy as np
 import pytest
 
+import reference
 from vnf_lab import nn
 
 
@@ -83,7 +85,8 @@ def check_gradients(net, rng, probes):
     x = rng.normal(0, 1.0, (4, net.n_in))
     gout = rng.normal(0, 1.0, (4, net.n_out))
     _, cache = nn.forward_cached(net, x)
-    grads, gin = nn.backward(net, cache, gout)
+    grads = nn.backward(net, cache, gout)
+    gin = nn.input_grad(net, cache, gout)
     for _ in range(probes):
         layer = int(rng.integers(len(net.weights)))
         which = "w" if rng.random() < 0.7 else "b"
@@ -154,7 +157,7 @@ class TestAdam:
         for _ in range(2000):
             y, cache = nn.forward_cached(net, xs)
             resid = y - 2 * xs
-            grads, _ = nn.backward(net, cache, 2 * resid / len(xs))
+            grads = nn.backward(net, cache, 2 * resid / len(xs))
             adam.step(net, grads)
         assert net.weights[0][0, 0] == pytest.approx(2.0, abs=1e-3)
 
@@ -211,3 +214,86 @@ class TestSerialization:
             assert (b0 == b1).all()
         x = np.ones(6)
         assert (nn.forward(net, x) == nn.forward(again, x)).all()
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def special_values():
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edge = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
+                     1e3 * tiny, -1e3 * tiny, np.finfo(np.float64).tiny,
+                     -np.finfo(np.float64).tiny, np.finfo(np.float64).max,
+                     -np.finfo(np.float64).max, 1.0, -1.0])
+    rng = np.random.default_rng(40)
+    wide = rng.normal(0, 1, 2000) * 10.0 ** rng.integers(-320, 300, 2000)
+    return np.concatenate([edge, wide, rng.normal(0, 1, 2000)])
+
+
+def random_net(sizes, head_scale=None, seed=0):
+    net = build(sizes, head_scale, seed)
+    rng = np.random.default_rng(seed + 100)
+    for w in net.weights:
+        w[:] = rng.normal(0, 0.3, w.shape)
+    for b in net.biases:
+        b[:] = rng.normal(0, 0.3, b.shape)
+    return net
+
+
+NETS = [((12, 16, 8, 5), None), ((14, 16, 8, 1), None), ((10, 16, 8, 2), (50.0, 25.0)),
+        ((37, 128, 64, 1), None)]
+
+
+class TestMatchesPlainFormulas:
+    def test_activation_equals_where_form_bitwise(self):
+        z = special_values()
+        with np.errstate(all="ignore"):
+            assert same_bits(nn.leaky_relu(z), reference.leaky_where(z))
+
+    def test_backward_factor_is_one_or_the_slope(self):
+        z = special_values()
+        factor = nn.leaky_relu_slope(z)
+        assert set(np.unique(factor).tolist()) == {1.0, nn.LEAKY_SLOPE}
+        assert same_bits(factor, reference.leaky_factor_where(z))
+
+    @pytest.mark.parametrize("sizes, head", NETS)
+    @pytest.mark.parametrize("batch", [1, 7, 128])
+    def test_gradients_equal_full_backprop_bitwise(self, sizes, head, batch):
+        net = random_net(sizes, head, seed=41)
+        rng = np.random.default_rng(42)
+        x = rng.normal(0, 1, (batch, net.n_in))
+        gout = rng.normal(0, 1, (batch, net.n_out))
+        if batch == 1:
+            x, gout = x[0], gout[0]
+        y, cache = nn.forward_cached(net, x)
+        y_ref, cache_ref = reference.forward_cached_reference(net, x)
+        assert same_bits(y, y_ref)
+        grads_ref, gin_ref = reference.backward_reference(net, cache_ref, gout)
+        for (dw, db), (dw_ref, db_ref) in zip(nn.backward(net, cache, gout), grads_ref):
+            assert same_bits(dw, dw_ref) and same_bits(db, db_ref)
+        assert same_bits(nn.input_grad(net, cache, gout), gin_ref)
+
+    def test_adam_and_soft_update_equal_plain_formulas_bitwise(self):
+        net = random_net((20, 32, 16, 3), seed=43)
+        net_ref = nn.clone(net)
+        adam = nn.AdamState(net, lr=1e-3)
+        adam_ref = nn.AdamState(net_ref, lr=1e-3)
+        target = random_net((20, 32, 16, 3), seed=44)
+        target_ref = nn.clone(target)
+        rng = np.random.default_rng(45)
+        for _ in range(5):
+            grads = [(rng.normal(0, 1, w.shape), rng.normal(0, 1, b.shape))
+                     for w, b in zip(net.weights, net.biases)]
+            adam.step(net, grads)
+            reference.adam_step_reference(adam_ref, net_ref, grads)
+            nn.soft_update(target, net, 5e-3)
+            reference.soft_update_reference(target_ref, net_ref, 5e-3)
+        pairs = [(net, net_ref), (target, target_ref)]
+        for a, b in pairs:
+            for p, q in zip(a.weights + a.biases, b.weights + b.biases):
+                assert same_bits(p, q)
+        assert adam.t == adam_ref.t == 5
+        for (m, mb), (m_ref, mb_ref) in zip(adam.m + adam.v, adam_ref.m + adam_ref.v):
+            assert same_bits(m, m_ref) and same_bits(mb, mb_ref)

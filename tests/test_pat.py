@@ -313,7 +313,7 @@ class TestActorUpdate:
             xc = np.concatenate([states[rows], onehots[rows], p], axis=1)
             q, cache = nn.forward_cached(critic, xc)
             resid = q[:, 0] - target
-            grads, _ = nn.backward(critic, cache, (2.0 / 64) * resid[:, None])
+            grads = nn.backward(critic, cache, (2.0 / 64) * resid[:, None])
             adam_c.step(critic, grads)
 
         actor = nn.Mlp((3 + 2, 16, 8, 2), head_scale=(10.0, 10.0))
