@@ -103,8 +103,13 @@ class DiscretizedGrid:
 
     def index_of(self, d_cpu: float, d_mem: float) -> int:
         """Nearest cell; exact for deltas generated from the lattice."""
-        ic = int(np.argmin(np.abs(self.values_cpu - d_cpu)))
-        im = int(np.argmin(np.abs(self.values_mem - d_mem)))
+        return int(self.cells_of(np.array([[d_cpu, d_mem]]))[0])
+
+    def cells_of(self, params: np.ndarray) -> np.ndarray:
+        """Nearest cell of each (d_cpu, d_mem) row, per axis the first of
+        equally near lattice values."""
+        ic = np.argmin(np.abs(self.values_cpu - params[:, :1]), axis=1)
+        im = np.argmin(np.abs(self.values_mem - params[:, 1:]), axis=1)
         return ic * len(self.values_mem) + im
 
 
@@ -184,7 +189,7 @@ class DdqnPairAgent(_PairedLearner):
 
     def _update_params(self, batch) -> float:
         states, _, params, rewards, next_states = batch
-        cells = np.array([self.grid.index_of(p[0], p[1]) for p in params])
+        cells = self.grid.cells_of(params)
         loss = dqn_update(self.param_q, self.t_param_q, self.adam_param,
                           states, cells, rewards, next_states, self.cfg.gamma)
         nn.soft_update(self.t_param_q, self.param_q, self.cfg.tau)

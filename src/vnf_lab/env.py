@@ -288,12 +288,24 @@ def cell_costs(state: AllocationState, spec: VnfSpec, costs: CostParams, rate: f
 def cost_components(state: AllocationState, table: SpecTable,
                     costs: CostParams, rate: float):
     """(latency, financial, sla, weighted numerator) matrices over all rows,
-    filled cell by cell from cell_costs."""
-    grid = np.empty((4, state.k_servers + 1, state.n_vnfs))
-    for t in range(state.k_servers + 1):
+    filled cell by cell from cell_costs. A server cell whose users, CPU,
+    memory and previous allocation are all zero costs what an empty server
+    cell of its VNF costs, so that value is computed once per VNF."""
+    k, n = state.k_servers, state.n_vnfs
+    live = np.logical_or.reduce([state.users, state.cpu, state.mem,
+                                 state.cpu_prev, state.mem_prev]).tolist()
+    empty, idle, cells = None, {}, []
+    for t in range(k + 1):
         for j, spec in enumerate(table.rows):
-            grid[:, t, j] = cell_costs(state, spec, costs, rate, t, j)
-    return tuple(grid)
+            if t == k or live[t][j]:
+                cells.append(cell_costs(state, spec, costs, rate, t, j))
+                continue
+            if j not in idle:
+                empty = empty or AllocationState(1, n)  # row 0: an empty server cell
+                idle[j] = cell_costs(empty, spec, costs, rate, 0, j)
+            cells.append(idle[j])
+    # C order: the env sums these matrices, and a sum rounds in memory order
+    return tuple(np.ascontiguousarray(np.array(cells).T).reshape(4, k + 1, n))
 
 
 def agent_cost(inst_cost: float, net_cost: float, beta: float, gamma_max: float) -> float:
@@ -339,6 +351,24 @@ def apply_departures(state: AllocationState, table: SpecTable,
 # ---------------------------------------------------------------------------
 # environment
 
+class FeatureLayout:
+    """Where each block of a request's feature vector sits, for k servers and
+    n VNFs: arrivals (n), deployed flags (n), users of every row including
+    the cloud ((k+1)n), server CPU (kn), server memory (kn), the cloud rate
+    (1) and the request's one-hot VNF (n). Cell blocks are row-major."""
+
+    def __init__(self, k_servers: int, n_vnfs: int):
+        k, n = k_servers, n_vnfs
+        self.arrivals = slice(0, n)
+        self.deployed = slice(n, 2 * n)
+        self.users = slice(2 * n, 2 * n + (k + 1) * n)
+        self.cpu = slice(self.users.stop, self.users.stop + k * n)
+        self.mem = slice(self.cpu.stop, self.cpu.stop + k * n)
+        self.rate = self.mem.stop
+        self.request = slice(self.rate + 1, self.rate + 1 + n)
+        self.length = self.request.stop
+
+
 class VnfEnv:
     """Slotted orchestration environment driven by an agent callback."""
 
@@ -366,10 +396,12 @@ class VnfEnv:
         self.lambdas = np.zeros(pool.n_vnfs)
         self.cur: EpochTraffic | None = None
         self.epoch = 0
-        # cost matrices of the current state under the traffic snapshot
-        # _grid_cur (see _cost_grid)
+        self.layout = FeatureLayout(pool.k_servers, pool.n_vnfs)
+        # cost matrices and features of the current state under the traffic
+        # snapshot _kept_cur (see _kept)
         self._grid = None
-        self._grid_cur = None
+        self._features = None
+        self._kept_cur = None
         self._rate_scale = max(traffic.mu_r + 3.0 * traffic.sigma_r, traffic.r_min)
 
     @property
@@ -378,34 +410,51 @@ class VnfEnv:
 
     @property
     def feature_length(self) -> int:
-        k, n = self.pool.k_servers, self.pool.n_vnfs
-        return n + n + (k + 1) * n + k * n + k * n + 1 + n
+        return self.layout.length
 
     def encode_state(self, vnf: int) -> np.ndarray:
         """Normalized feature vector for one pending request."""
         cur = self.cur
         if cur is None:
             raise ValueError("no epoch traffic available; advance an epoch first")
-        k, n = self.pool.k_servers, self.pool.n_vnfs
-        st = self.state
-        out = np.empty(self.feature_length)
-        pos = 0
-        out[pos:pos + n] = cur.arrivals / USER_SCALE
-        pos += n
-        out[pos:pos + n] = (st.cpu > 0).any(axis=0)
-        pos += n
-        m = (k + 1) * n
-        out[pos:pos + m] = st.users.reshape(-1) / USER_SCALE
-        pos += m
-        m = k * n
-        out[pos:pos + m] = st.cpu[:k].reshape(-1) / self.pool.rho_max
-        pos += m
-        out[pos:pos + m] = st.mem[:k].reshape(-1) / self.pool.eta_max
-        pos += m
-        out[pos] = cur.cloud_rate / self._rate_scale
-        pos += 1
-        out[pos:pos + n] = 0.0
-        out[pos + vnf] = 1.0
+        k, lay, st = self.pool.k_servers, self.layout, self.state
+        out = np.empty(lay.length)
+        out[lay.arrivals] = cur.arrivals / USER_SCALE
+        out[lay.deployed] = (st.cpu > 0).any(axis=0)
+        out[lay.users] = st.users.reshape(-1) / USER_SCALE
+        out[lay.cpu] = st.cpu[:k].reshape(-1) / self.pool.rho_max
+        out[lay.mem] = st.mem[:k].reshape(-1) / self.pool.eta_max
+        out[lay.rate] = cur.cloud_rate / self._rate_scale
+        out[lay.request] = 0.0
+        out[lay.request.start + vnf] = 1.0
+        return out
+
+    def _patch_features(self, out: np.ndarray, t: int, j: int):
+        """Bring out, the features of the state before a request that changed
+        at most cell (t, j), up to date as encode_state computes them: the
+        cell's users, its CPU and memory on a server, and VNF j's deployed
+        flag. Only that cell of the flag's column moved, so the column needs
+        a scan only when the cell holds no CPU and the flag was set."""
+        lay, st = self.layout, self.state
+        cell = t * self.pool.n_vnfs + j
+        c = float(st.cpu[t, j])
+        out[lay.users.start + cell] = int(st.users[t, j]) / USER_SCALE
+        if t < st.k_servers:
+            out[lay.cpu.start + cell] = c / self.pool.rho_max
+            out[lay.mem.start + cell] = float(st.mem[t, j]) / self.pool.eta_max
+        flag = lay.deployed.start + j
+        if c > 0:
+            out[flag] = 1.0
+        elif out[flag]:
+            out[flag] = (st.cpu[:, j] > 0).any()
+
+    def _moved_request(self, features: np.ndarray, vnf: int) -> np.ndarray:
+        """encode_state(vnf) from the features of another request on the same
+        state and traffic: a copy with the one-hot request slot moved."""
+        out = features.copy()
+        req = self.layout.request
+        out[req] = 0.0
+        out[req.start + vnf] = 1.0
         return out
 
     def _admit_cloud(self, j: int):
@@ -417,20 +466,23 @@ class VnfEnv:
         st.cpu[st.cloud, j] = c_up
         st.mem[st.cloud, j] = m_up
 
-    def _cost_grid(self):
-        """The (latency, financial, sla, numerator) matrices of the current
-        state, built once per traffic snapshot; apply_action keeps them
-        current."""
-        if self._grid is None or self._grid_cur is not self.cur:
+    def _kept(self):
+        """The (latency, financial, sla, numerator) matrices and the features
+        of the current state, built once per traffic snapshot; apply_action
+        keeps both current."""
+        if self._kept_cur is not self.cur:
             self._grid = cost_components(self.state, self.table, self.costs,
                                          self.cur.cloud_rate)
-            self._grid_cur = self.cur
-        return self._grid
+            self._features = self.encode_state(0)
+            self._kept_cur = self.cur
+        return self._grid, self._features
 
     def apply_action(self, vnf: int, action: ParamAction,
                      assign_user: bool = True) -> StepOutcome:
         """Apply one placement decision; infeasible requests fall through to
-        the cloud at the worst training cost."""
+        the cloud at the worst training cost. The returned next-state
+        features are the base the next request's are copied from, so callers
+        must not write to them."""
         pool = self.pool
         if not 0 <= vnf < pool.n_vnfs:
             raise ValueError(f"unknown vnf index {vnf}")
@@ -462,24 +514,18 @@ class VnfEnv:
                 if assign_user:
                     self._admit_cloud(vnf)
 
-        # the one cell this request can change; a cell's costs read no other cell
+        # the one cell this request can change; a cell's costs and features
+        # read no other cell, except VNF vnf's deployed flag, which reads its column
         where = st.cloud if infeasible and assign_user else t
-        lat, fin, sla, num = self._cost_grid()
+        (lat, fin, sla, num), features = self._kept()
         lat[where, vnf], fin[where, vnf], sla[where, vnf], num[where, vnf] = cell_costs(
             st, self.table.rows[vnf], self.costs, self.cur.cloud_rate, where, vnf)
         ic = float(num[where, vnf] / max(int(st.users[where, vnf]), 1))
         nc = float(num.sum() / max(int(st.users.sum()), 1))
         psi = 1.0 if infeasible else agent_cost(ic, nc, self.beta, self.gamma_max)
-        return StepOutcome(psi, infeasible, ic, nc, self.encode_state(vnf))
-
-    def _moved_request(self, features: np.ndarray, vnf: int) -> np.ndarray:
-        """encode_state(vnf) from the features of another request on the same
-        state and traffic: a copy with the one-hot request slot moved."""
-        out = features.copy()
-        n = self.pool.n_vnfs
-        out[-n:] = 0.0
-        out[-n + vnf] = 1.0
-        return out
+        self._features = self._moved_request(features, vnf)
+        self._patch_features(self._features, where, vnf)
+        return StepOutcome(psi, infeasible, ic, nc, self._features)
 
     def advance_epoch(self, policy, keep_snapshot: bool = False) -> EpochSummary:
         """Run one slot: sample traffic, serve every request (idle VNFs get a
@@ -498,12 +544,12 @@ class VnfEnv:
         order = self.rng_traffic.permutation(self.pool.n_vnfs)
 
         records = []
-        after = None
+        _, after = self._kept()
         for j in order:
             j = int(j)
             has_user = bool(arrivals[j] > 0)
             for _ in range(max(int(arrivals[j]), 1)):
-                s = self.encode_state(j) if after is None else self._moved_request(after, j)
+                s = self._moved_request(after, j)
                 action = policy(s, j, self.state, has_user)
                 out = self.apply_action(j, action, has_user)
                 after = out.next_state_features
@@ -514,14 +560,14 @@ class VnfEnv:
         snapshot = (self.state.copy(), rate) if keep_snapshot else None
         apply_departures(self.state, self.table, self.rng_departures)
         self.state.snapshot_prev()
-        self._grid = None  # departures and the new reference point change every cell
+        self._kept_cur = None  # departures and the new reference point change every cell
         self.epoch += 1
         return EpochSummary(metrics, records, snapshot)
 
     def _epoch_metrics(self, records) -> EpochMetrics:
         st = self.state
         k = self.pool.k_servers
-        lat, fin, sla, num = self._cost_grid()
+        (lat, fin, sla, num), _ = self._kept()
         total_u = int(st.users.sum())
         du = max(total_u, 1)
         return EpochMetrics(

@@ -199,6 +199,7 @@ class LearnerBase:
         self.n_targets = int(n_targets)
         self.rng = np.random.default_rng(seed)
         self.buffer = ReplayBuffer(self.cfg.buffer_capacity, self.state_dim)
+        self._target_rows = np.eye(self.n_targets)  # row a: target a one-hot
         self.updates = 0
         self.eval_mode = False
 
@@ -257,7 +258,7 @@ class LearnerBase:
         to the box; offloads carry no deltas."""
         if a == self.cloud_action:
             return ParamAction(a, 0.0, 0.0)
-        x = np.concatenate([s, one_hot([a], self.n_targets)[0]])
+        x = np.concatenate([s, self._target_rows[a]])
         p = nn.forward(actor, x)
         if explore:
             p = p + self._clipped_noise(2)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from vnf_lab.env import AllocationState, VnfSpec, resource_range
+from vnf_lab.env import AllocationState, VnfSpec, cell_costs, resource_range
 from vnf_lab.nn import LEAKY_SLOPE
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -63,6 +63,17 @@ def check_kernel(mats, state: AllocationState, specs, costs, rate: float,
            "sla_per_user": float(sla.sum() / per_user)}
     want = oracle_figures(state, specs, costs, rate)
     return check_oracle(got, {key: want[key] for key in got}, where)
+
+
+def dense_cost_grid(state: AllocationState, table, costs, rate: float) -> tuple:
+    """(latency, financial, sla, numerator) matrices from cell_costs run on
+    every one of the (k+1) x n cells, the grid cost_components must equal
+    bit for bit."""
+    grid = np.empty((4, state.k_servers + 1, state.n_vnfs))
+    for t in range(state.k_servers + 1):
+        for j, spec in enumerate(table.rows):
+            grid[:, t, j] = cell_costs(state, spec, costs, rate, t, j)
+    return tuple(grid)
 
 
 def random_spec(rng, idx=0) -> VnfSpec:

@@ -152,6 +152,33 @@ class TestDiscretizedGrid:
         assert grid.index_of(-1.0, 1.0) == zero
         assert grid.delta(grid.index_of(-24.0, 19.0)) == (-25.0, 20.0)
 
+    @pytest.mark.parametrize("resolution,span", [(5.0, 50.0), (3.0, 20.0), (0.7, 9.0)])
+    def test_batched_lookup_matches_the_scalar_loop(self, resolution, span):
+        """cells_of equals a per-row argmin over |lattice - delta|, first
+        minimum on a tie, on lattice deltas, off-lattice deltas and exact
+        midpoints between neighbouring values."""
+        grid = DiscretizedGrid(resolution, span, span)
+
+        def loop(params):
+            nm = len(grid.values_mem)
+            return np.array([int(np.argmin(np.abs(grid.values_cpu - c))) * nm
+                             + int(np.argmin(np.abs(grid.values_mem - m))) for c, m in params])
+
+        rng = np.random.default_rng(8)
+        lattice = np.array([grid.delta(i) for i in range(grid.n_cells)])
+        off = rng.uniform(-span, span, (300, 2))
+        mids_c = (grid.values_cpu[:-1] + grid.values_cpu[1:]) / 2
+        mids_m = (grid.values_mem[:-1] + grid.values_mem[1:]) / 2
+        ties = np.stack([rng.choice(mids_c, 200), rng.choice(mids_m, 200)], axis=1)
+        # a midpoint is an exact tie where both distances round alike
+        dist = np.abs(grid.values_cpu - mids_c[:, None])
+        assert ((dist == dist.min(axis=1, keepdims=True)).sum(axis=1) > 1).any()
+        for params in (lattice, off, ties, np.concatenate([lattice, off, ties])):
+            got = grid.cells_of(params)
+            assert got.dtype == np.int64 and np.array_equal(got, loop(params))
+        assert np.array_equal(grid.cells_of(lattice), np.arange(grid.n_cells))
+        assert [grid.index_of(c, m) for c, m in ties] == loop(ties).tolist()
+
     def test_small_span_keeps_at_least_one_cell(self):
         grid = DiscretizedGrid(5.0, 2.0, 2.0)
         assert grid.n_cells == 1

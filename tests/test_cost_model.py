@@ -1,10 +1,13 @@
 """Cost-model unit tests: the cost kernel against the independent oracle
 (tests/reference.py) and against frozen hand values on tiny states."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from reference import check_kernel, qos_reference, random_populated_state, random_spec
+from reference import (check_kernel, dense_cost_grid, qos_reference, random_populated_state,
+                       random_spec)
 from vnf_lab.env import (VnfSpec, CostParams, PoolConfig, AllocationState,
                          SpecTable, resource_range, qos, agent_cost, cost_components)
 from vnf_lab.harness import default_vnfs
@@ -236,6 +239,71 @@ class TestNetworkCost:
                     cell = [mat[k:k + 1, j] for mat in mats]
                     assert check_kernel(cell, isolated(st, k, j), specs, COSTS, rate,
                                         f"cell ({k}, {j})") == []
+
+
+class TestCostGrid:
+    """cost_components against cell_costs run on every cell."""
+
+    @staticmethod
+    def assert_grid_equal(st, table, rate):
+        for got, want in zip(cost_components(st, table, COSTS, rate),
+                             dense_cost_grid(st, table, COSTS, rate)):
+            assert np.array_equal(got, want)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+            # the env sums these matrices; a sum's rounding follows memory order
+            assert got.flags.c_contiguous and got.sum() == want.sum()
+
+    def test_equals_the_dense_kernel_grid(self):
+        rng = np.random.default_rng(23)
+        specs = [random_spec(rng, i) for i in range(4)]
+        # without a base CPU demand, an instance with no users and no CPU has
+        # full QoS once its memory reaches m0, so its SLA entry is -0.0, not
+        # the +0.0 of an empty cell; N6 has no base memory demand
+        specs += [dataclasses.replace(specs[0], id=4, c0=0.0, m0=0.0),
+                  dataclasses.replace(specs[1], id=5, c0=0.0),
+                  dataclasses.replace(N6, id=6)]
+        table = SpecTable(specs)
+        seen = {"empty cloud": 0, "memory, no CPU": 0, "previous only": 0}
+        for _ in range(150):
+            st = random_populated_state(rng, 3, specs)
+            empty = (st.users == 0) & (st.cpu == 0) & (st.mem == 0)
+            # some empty server cells get memory without CPU, users without
+            # an allocation or only a previous allocation
+            for t, j in np.argwhere(empty[:-1]).tolist():
+                draw = rng.random()
+                if draw < 0.3:
+                    st.mem[t, j] = rng.uniform(0, 2 * specs[j].m0 + 1)  # below and above m0
+                elif draw < 0.4:
+                    st.users[t, j] = rng.integers(1, 4)
+                elif draw < 0.7:
+                    st.cpu_prev[t, j], st.mem_prev[t, j] = rng.uniform(0, 12, 2) * (
+                        rng.random(2) < 0.7)
+            now = (st.users != 0) | (st.cpu != 0) | (st.mem != 0)
+            before = (st.cpu_prev != 0) | (st.mem_prev != 0)
+            seen["empty cloud"] += int((~now[-1] & ~before[-1]).sum())
+            seen["memory, no CPU"] += int(((st.mem != 0) & (st.cpu == 0)).sum())
+            seen["previous only"] += int((~now & before).sum())
+            self.assert_grid_equal(st, table, rng.uniform(1, 20))
+        assert min(seen.values()) > 20, seen
+
+    def test_empty_cloud_cells_keep_a_negative_zero_sla(self):
+        specs = default_vnfs(4)
+        table = SpecTable(specs)
+        st = AllocationState(2, 4)
+        st.users[2, 1], st.cpu[2, 1], st.mem[2, 1] = 2, 7.0, 9.0
+        sla = cost_components(st, table, COSTS, 10.0)[2]
+        assert np.signbit(sla[2, [0, 2, 3]]).all() and (sla[2, [0, 2, 3]] == 0).all()
+        self.assert_grid_equal(st, table, 10.0)
+
+    def test_all_empty_and_all_occupied_grids(self):
+        rng = np.random.default_rng(24)
+        specs = [random_spec(rng, i) for i in range(3)]
+        table = SpecTable(specs)
+        self.assert_grid_equal(AllocationState(2, 3), table, 7.0)
+        st = random_populated_state(rng, 2, specs)
+        for name in ("cpu", "mem", "cpu_prev", "mem_prev"):
+            getattr(st, name)[:] = rng.uniform(0.5, 12, st.cpu.shape)
+        self.assert_grid_equal(st, table, 7.0)
 
 
 class TestValidation:

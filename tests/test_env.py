@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from reference import check_oracle, oracle_figures
+from vnf_lab import env as env_module, harness
+from vnf_lab.baselines import RandomAgent
 from vnf_lab.env import (VnfSpec, CostParams, PoolConfig, TrafficConfig,
                          ParamAction, EpochTraffic, VnfEnv, resource_range)
 from vnf_lab.harness import default_vnfs
@@ -155,7 +157,64 @@ class TestEncodeState:
         assert (a == b).all()
 
 
+class TestNextStateFeatures:
+    """apply_action patches the previous features in place of a fresh encode;
+    each request kind must leave them equal to encode_state after it."""
+
+    # (label, vnf, action, assign_user, VNF's deployed flag after the request)
+    REQUESTS = [
+        ("feasible server placement", 0, ParamAction(1, 5.0, 6.0), True, 1.0),
+        ("infeasible fall-through to the cloud", 1, ParamAction(0, 60.0, 1.0), True, 1.0),
+        ("cloud offload", 1, ParamAction(3), True, 1.0),
+        ("idle visit deploying on a server", 2, ParamAction(2, 4.0, 4.0), False, 1.0),
+        ("idle visit leaving a server empty", 0, ParamAction(0, 0.0, 0.0), False, 1.0),
+        ("server CPU drops to 0, flag flips", 2, ParamAction(2, -4.0, -4.0), False, 0.0),
+        ("idle deployment beside a live one", 0, ParamAction(2, 3.0, 3.0), False, 1.0),
+        ("server CPU drops to 0, flag holds", 0, ParamAction(2, -3.0, -3.0), False, 1.0),
+        ("infeasible idle visit", 1, ParamAction(0, -5.0, 0.0), False, 1.0),
+        ("cloud idle visit", 2, ParamAction(3), False, 0.0),
+    ]
+
+    def test_each_request_kind_matches_a_fresh_encode(self):
+        env = make_env()
+        env.cur = EpochTraffic(np.array([3, 2, 1]), np.zeros(3), 9.5, 0)
+        flags = env.layout.deployed
+        outputs = []
+        for label, vnf, action, assign_user, flag in self.REQUESTS:
+            out = env.apply_action(vnf, action, assign_user)
+            got = out.next_state_features
+            assert np.array_equal(got, env.encode_state(vnf)), label
+            assert got[flags][vnf] == flag, label
+            outputs.append((got, got.copy()))
+        # later requests write into new arrays, never into returned ones
+        assert all(np.array_equal(a, b) and a is not outputs[-1][0] for a, b in outputs[:-1])
+        assert env.state.users[3, 1] == 2 and env.state.users[1, 0] == 1
+
+
 class TestAdvanceEpoch:
+    def test_encodes_and_builds_the_grid_once_per_epoch(self, monkeypatch):
+        """Requests reuse the epoch's features and cost grid: encode_state
+        and cost_components each run once per epoch at the default scale."""
+        calls = {"encode_state": 0, "cost_components": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(VnfEnv, "encode_state", counted("encode_state", VnfEnv.encode_state))
+        monkeypatch.setattr(env_module, "cost_components",
+                            counted("cost_components", env_module.cost_components))
+        cfg = harness.defaults()
+        env = harness.build_env(cfg, 4)
+        agent = RandomAgent(cfg.pool, 4)
+        epochs, requests = 5, 0
+        for _ in range(epochs):
+            requests += len(env.advance_epoch(agent.select).records)
+        assert env.pool.k_servers == 10 and requests > 10 * epochs
+        assert calls == {"encode_state": epochs, "cost_components": epochs}
+
     def test_zero_arrivals_yield_one_visit_per_vnf(self):
         specs = [VnfSpec(i, 3, 5, 4, 6, 5, 3, 35, 70, 2, 0.0, 0.0) for i in range(3)]
         env = VnfEnv(PoolConfig(k_servers=3, n_vnfs=3), specs, CostParams(),

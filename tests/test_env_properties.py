@@ -2,7 +2,8 @@
 catalogues, driven by the random and the greedy policy, checked after every
 request and every epoch. Among them: the cost matrices the environment keeps
 and refreshes cell by cell equal a fresh cost_components of the state, and
-the features a request is given equal a fresh encode_state."""
+both the features a request is given and the next-state features recorded
+after it equal a fresh encode_state."""
 
 import dataclasses
 
@@ -71,22 +72,28 @@ def test_invariants_hold_on_every_request_and_epoch(scenario):
         assert np.array_equal(features, env.encode_state(vnf))
         return agent.select(features, vnf, state, has_user)
 
-    apply_action, psis = env.apply_action, []
+    apply_action, psis, next_states = env.apply_action, [], []
 
     def checked_apply(vnf, action, assign_user=True):
         out = apply_action(vnf, action, assign_user)
         psis.append(fresh_psi(env, vnf, action, out))
+        next_states.append(env.encode_state(vnf))
         return out
 
     env.apply_action = checked_apply
     for _ in range(EPOCHS):
         before = int(env.state.users.sum())
         psis.clear()
+        next_states.clear()
         summary = env.advance_epoch(checked_policy, keep_snapshot=True)
         served, rate = summary.snapshot
         assert_allocation_invariants(served, pool)
         assert all(-1.0 <= r.cost_psi <= 1.0 for r in summary.records)
         assert [r.cost_psi for r in summary.records] == psis
+        # including the epoch's last next state, which only replay sees
+        assert len(next_states) == len(summary.records)
+        for r, want in zip(summary.records, next_states):
+            assert np.array_equal(r.next_state, want)
 
         # every arrival is placed once; departures only remove users
         arrivals = env.cur.arrivals

@@ -120,6 +120,22 @@ class TestSelect:
         act = agent.select(np.ones(STATE_DIM))
         assert act == ParamAction(agent.cloud_action, 0.0, 0.0)
 
+    @pytest.mark.parametrize("kind", ["pat", "ddpg"])
+    def test_actor_input_is_state_and_target_one_hot(self, kind, monkeypatch):
+        """The batch-1 actor input built from a kept identity row equals the
+        one_hot form, bit for bit, for every server target."""
+        agent = make_learner(kind, seed=3)
+        actor = agent.actor_param if kind == "pat" else agent.actor
+        seen = []
+        forward = nn.forward
+        monkeypatch.setattr(nn, "forward", lambda net, x: seen.append(x) or forward(net, x))
+        s = np.random.default_rng(4).normal(0, 1, STATE_DIM)
+        for a in range(N_TARGETS - 1):
+            agent._actor_step(actor, s, a, explore=False)
+            want = np.concatenate([s, one_hot([a], N_TARGETS)[0]])
+            assert seen[-1].dtype == want.dtype and np.array_equal(seen[-1], want)
+        assert len(seen) == N_TARGETS - 1
+
 
 class TestTargets:
     def test_bootstrap_combines_min_of_both_target_critics(self):
