@@ -397,10 +397,11 @@ class VnfEnv:
         self.cur: EpochTraffic | None = None
         self.epoch = 0
         self.layout = FeatureLayout(pool.k_servers, pool.n_vnfs)
-        # cost matrices and features of the current state under the traffic
-        # snapshot _kept_cur (see _kept)
+        # cost matrices, features and user count of the current state under
+        # the traffic snapshot _kept_cur (see _kept)
         self._grid = None
         self._features = None
+        self._users = 0
         self._kept_cur = None
         self._rate_scale = max(traffic.mu_r + 3.0 * traffic.sigma_r, traffic.r_min)
 
@@ -467,13 +468,14 @@ class VnfEnv:
         st.mem[st.cloud, j] = m_up
 
     def _kept(self):
-        """The (latency, financial, sla, numerator) matrices and the features
-        of the current state, built once per traffic snapshot; apply_action
-        keeps both current."""
-        if self._kept_cur is not self.cur:
+        """The (latency, financial, sla, numerator) matrices, features and user
+        count _users of the current state, built once per traffic snapshot
+        (encode_state raises without one); apply_action keeps all three current."""
+        if self.cur is None or self._kept_cur is not self.cur:
+            self._features = self.encode_state(0)
             self._grid = cost_components(self.state, self.table, self.costs,
                                          self.cur.cloud_rate)
-            self._features = self.encode_state(0)
+            self._users = int(self.state.users.sum())
             self._kept_cur = self.cur
         return self._grid, self._features
 
@@ -490,16 +492,18 @@ class VnfEnv:
         if not 0 <= t <= pool.k_servers:
             raise ValueError(f"action target {t} outside 0..{pool.k_servers}")
         st = self.state
+        # kept before this request changes the state; the refresh below follows it
+        (lat, fin, sla, num), features = self._kept()
         infeasible = False
         if t == st.cloud:
             # offload carries no parameters; an idle visit leaves the cloud alone
             if assign_user:
                 self._admit_cloud(vnf)
         else:
-            new_c = st.cpu[t, vnf] + action.d_cpu
-            new_m = st.mem[t, vnf] + action.d_mem
-            row_c = st.cpu[t].sum() - st.cpu[t, vnf] + new_c
-            row_m = st.mem[t].sum() - st.mem[t, vnf] + new_m
+            c, m = float(st.cpu[t, vnf]), float(st.mem[t, vnf])
+            new_c, new_m = c + action.d_cpu, m + action.d_mem
+            row_c = float(st.cpu[t].sum()) - c + new_c
+            row_m = float(st.mem[t].sum()) - m + new_m
             new_u = int(st.users[t, vnf]) + (1 if assign_user else 0)
             ok = (new_c >= 0 and new_m >= 0
                   and row_c <= pool.rho_max and row_m <= pool.eta_max
@@ -507,8 +511,7 @@ class VnfEnv:
             if ok:
                 st.cpu[t, vnf] = new_c
                 st.mem[t, vnf] = new_m
-                if assign_user:
-                    st.users[t, vnf] = new_u
+                st.users[t, vnf] = new_u
             else:
                 infeasible = True
                 if assign_user:
@@ -517,11 +520,11 @@ class VnfEnv:
         # the one cell this request can change; a cell's costs and features
         # read no other cell, except VNF vnf's deployed flag, which reads its column
         where = st.cloud if infeasible and assign_user else t
-        (lat, fin, sla, num), features = self._kept()
         lat[where, vnf], fin[where, vnf], sla[where, vnf], num[where, vnf] = cell_costs(
             st, self.table.rows[vnf], self.costs, self.cur.cloud_rate, where, vnf)
+        self._users += bool(assign_user)  # an assigned user lands on a server or the cloud
         ic = float(num[where, vnf] / max(int(st.users[where, vnf]), 1))
-        nc = float(num.sum() / max(int(st.users.sum()), 1))
+        nc = float(num.sum() / max(self._users, 1))
         psi = 1.0 if infeasible else agent_cost(ic, nc, self.beta, self.gamma_max)
         self._features = self._moved_request(features, vnf)
         self._patch_features(self._features, where, vnf)

@@ -130,6 +130,22 @@ def _build_section(cls, data: dict, path: str):
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _agent_block(doc) -> dict:
+    """doc over its kind's defaults, every key known to that kind and range-checked."""
+    if not isinstance(doc, dict):
+        raise ConfigError("agent: expected an object")
+    kind = doc.get("kind", "pat")
+    base = default_agent_config(kind)
+    for key in doc:
+        if key not in base:
+            raise ConfigError(f"agent.{key}: unknown key for agent {kind!r}")
+    agent = {**base, **doc}
+    if kind in RL_CONFIGS:
+        _build_section(RL_CONFIGS[kind], {k: v for k, v in agent.items() if k != "kind"},
+                       "agent")
+    return agent
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
@@ -153,18 +169,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError("vnfs: ids must be 0..n_vnfs-1 in order")
     costs = _build_section(CostParams, doc.get("costs", {}), "costs")
     traffic = _build_section(TrafficConfig, doc.get("traffic", {}), "traffic")
-    agent_doc = doc.get("agent", {"kind": "pat"})
-    if not isinstance(agent_doc, dict):
-        raise ConfigError("agent: expected an object")
-    kind = agent_doc.get("kind", "pat")
-    base = default_agent_config(kind)
-    for key in agent_doc:
-        if key not in base:
-            raise ConfigError(f"agent.{key}: unknown key for agent {kind!r}")
-    agent = {**base, **agent_doc}
-    if kind in RL_CONFIGS:
-        _build_section(RL_CONFIGS[kind], {k: v for k, v in agent.items() if k != "kind"},
-                       "agent")
+    agent = _agent_block(doc.get("agent", {"kind": "pat"}))
     run = _build_section(RunConfig, doc.get("run", {}), "run")
     return ExperimentConfig(pool, vnfs, costs, traffic, agent, run)
 
@@ -377,16 +382,15 @@ def compare(cfg: ExperimentConfig, agent_names, seeds=None, out_dir=None,
     if repeated:
         raise ConfigError(f"compare: agent {', '.join(map(repr, repeated))} named twice")
     seeds = [resolve_seed(cfg)] if seeds is None else [int(s) for s in seeds]
+    # every agent's config is built and checked before any job runs
+    acfgs = {name: dataclasses.replace(cfg, agent=_agent_block(
+        cfg.agent if cfg.agent.get("kind") == name else {"kind": name})) for name in names}
     per_seed = {name: [] for name in names}
     long_rows = []
     long_keys = tuple(k for k in KPI_KEYS if k != "active_users")
     for seed in seeds:
         for name in names:
-            if cfg.agent.get("kind") == name:
-                agent_doc = dict(cfg.agent)
-            else:
-                agent_doc = default_agent_config(name)
-            acfg = dataclasses.replace(cfg, agent=agent_doc)
+            acfg = acfgs[name]
             env = build_env(acfg, seed, stream=0)
             agent = build_agent(acfg, env, seed)
             if isinstance(agent, LearnerBase):

@@ -1,6 +1,7 @@
-"""Small dense-network toolkit: forward with cached activations, exact
-backprop (weight gradients in backward, the input gradient in input_grad),
-Adam, soft target blending, checkpoints.
+"""Small dense-network toolkit: a cacheless forward for inference, a forward
+with cached activations for training, exact backprop (weight gradients in
+backward, the input gradient in input_grad), Adam, soft target blending,
+checkpoints.
 
 Everything is float64 numpy. Hidden layers use leaky ReLU (slope 0.01);
 the output head is linear or tanh scaled componentwise. Adam and the soft
@@ -57,13 +58,6 @@ def clone(mlp: Mlp) -> Mlp:
     return out
 
 
-def _promote(x):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
-
-
 def leaky_relu(z):
     """z where z >= 0, LEAKY_SLOPE * z elsewhere. The slope is below 1, so
     the larger of the two is the right one for every z, -0 and NaN included."""
@@ -79,7 +73,10 @@ def leaky_relu_slope(z):
 
 def forward_cached(mlp: Mlp, x):
     """Returns (output, cache). Pure: parameters are never touched."""
-    a, single = _promote(x)
+    a = np.asarray(x, dtype=np.float64)
+    single = a.ndim == 1
+    if single:
+        a = a[None, :]
     acts = [a]
     zs = []
     last = len(mlp.weights) - 1
@@ -101,8 +98,14 @@ def forward_cached(mlp: Mlp, x):
 
 
 def forward(mlp: Mlp, x):
-    y, _ = forward_cached(mlp, x)
-    return y
+    """forward_cached's output, the same bits, without the cache; 1-D in, 1-D out."""
+    a = x
+    last = len(mlp.weights) - 1
+    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
+        z = a @ w.T
+        z += b
+        a = leaky_relu(z) if i < last else z
+    return a if mlp.head_scale is None else np.tanh(a) * mlp.head_scale
 
 
 def _head_grad(mlp: Mlp, t, grad_out):

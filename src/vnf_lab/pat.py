@@ -141,6 +141,12 @@ def regress_critic(net: nn.Mlp, adam: nn.AdamState, x: np.ndarray, y: np.ndarray
     return loss
 
 
+def _clip(x: float, lo: float, hi: float) -> float:
+    """np.clip of one float: NaN stays, a tie takes the bound."""
+    x = lo if x <= lo else x
+    return hi if x >= hi else x
+
+
 @functools.cache
 def keep_freed_memory():
     """Make glibc malloc keep freed memory in the process; runs once.
@@ -207,6 +213,7 @@ class LearnerBase:
         self.scale = np.asarray(param_scale, dtype=np.float64)
         if self.scale.shape != (2,) or (self.scale <= 0).any():
             raise ValueError("param_scale must be two positive bounds")
+        self._box = tuple(self.scale.tolist())  # (rho_max, eta_max) as floats
         # critics see deltas at half-unit scale so the one-hot target coords
         # keep the larger footing; raw-unit gradients recovered by chain rule
         self.p_feat = 2.0 * self.scale
@@ -251,19 +258,22 @@ class LearnerBase:
     def _eps_greedy(self, net: nn.Mlp, s: np.ndarray, explore: bool) -> int:
         if explore and self.rng.random() < self.eps:
             return int(self.rng.integers(net.n_out))
-        return int(np.argmax(nn.forward(net, s)))
+        return int(nn.forward(net, s).argmax())
 
     def _actor_step(self, actor: nn.Mlp, s: np.ndarray, a: int, explore: bool) -> ParamAction:
         """Target a with the actor's deltas, noisy while exploring and clipped
-        to the box; offloads carry no deltas."""
+        to the box; offloads carry no deltas. The noise is _clipped_noise(2)
+        and the clips np.clip, in Python floats: the same draw and bits."""
         if a == self.cloud_action:
             return ParamAction(a, 0.0, 0.0)
-        x = np.concatenate([s, self._target_rows[a]])
-        p = nn.forward(actor, x)
+        p_cpu, p_mem = nn.forward(actor, np.concatenate([s, self._target_rows[a]])).tolist()
+        rho, eta = self._box
         if explore:
-            p = p + self._clipped_noise(2)
-        p = np.clip(p, -self.scale, self.scale)
-        return ParamAction(a, float(p[0]), float(p[1]))
+            w_cpu, w_mem = self.rng.normal(0.0, self.cfg.sigma_noise, size=2).tolist()
+            c = self.clip_c
+            p_cpu += _clip(w_cpu * rho, -(c * rho), c * rho)
+            p_mem += _clip(w_mem * eta, -(c * eta), c * eta)
+        return ParamAction(a, _clip(p_cpu, -rho, rho), _clip(p_mem, -eta, eta))
 
     def train_step(self) -> dict:
         """One optimization round; a no-op until the warmup fill is reached."""

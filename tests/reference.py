@@ -1,6 +1,7 @@
 """Independent references for the cost-model tests and the random inputs
-they are checked on, and the plain formulas the in-place nn code must
-reproduce bit for bit.
+they are checked on, the plain formulas the in-place nn code must
+reproduce bit for bit, and the learners' batch-1 decision formulas as first
+written, which their float-scalar forms must reproduce bit for bit.
 
 The figures come from perfbench/oracle.py: the benchmark's scalar cost
 oracle, written from the model's definition without importing
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from vnf_lab.env import AllocationState, VnfSpec, cell_costs, resource_range
+from vnf_lab import nn
+from vnf_lab.env import AllocationState, ParamAction, VnfSpec, cell_costs, resource_range
 from vnf_lab.nn import LEAKY_SLOPE
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -200,3 +202,25 @@ def soft_update_reference(target, source, tau):
         tw[:] = tau * sw + (1.0 - tau) * tw
     for tb, sb in zip(target.biases, source.biases):
         tb[:] = tau * sb + (1.0 - tau) * tb
+
+
+# ---------------------------------------------------------------------------
+# the learners' batch-1 decisions as first written: inference through the
+# training pass, and the actor step's noise and clips on numpy arrays
+
+
+def forward_reference(mlp, x):
+    y, _ = nn.forward_cached(mlp, x)
+    return y
+
+
+def actor_step_reference(agent, actor, s, a, explore):
+    """LearnerBase._actor_step on arrays: _clipped_noise(2) and np.clip."""
+    if a == agent.cloud_action:
+        return ParamAction(a, 0.0, 0.0)
+    x = np.concatenate([s, agent._target_rows[a]])
+    p = forward_reference(actor, x)
+    if explore:
+        p = p + agent._clipped_noise(2)
+    p = np.clip(p, -agent.scale, agent.scale)
+    return ParamAction(a, float(p[0]), float(p[1]))

@@ -194,6 +194,7 @@ def trained_runs():
     return cfg, runs, time.time() - start
 
 
+@pytest.mark.slow
 def test_desk_scale_training_improves_reward(trained_runs):
     cfg, runs, elapsed = trained_runs
     for seed in SEEDS:
@@ -218,6 +219,7 @@ def eval_counting_arrivals(cfg, agent, seed, epochs):
     return rows, arrivals
 
 
+@pytest.mark.slow
 def test_trained_agent_orders_against_baselines(trained_runs):
     cfg, runs, _ = trained_runs
     names = ("pat", "cloud", "random", "greedy")
@@ -275,6 +277,7 @@ def test_train_command_repeats_byte_identical(tmp_path):
 # ---------------------------------------------------------------------------
 # optional long-horizon benchmark (off by default; enable explicitly)
 
+@pytest.mark.slow
 @pytest.mark.skipif(not os.environ.get("VNF_LAB_LONG_RUN"),
                     reason="long-horizon benchmark; set VNF_LAB_LONG_RUN=1 to run")
 def test_full_scale_cost_trends_negative():

@@ -7,7 +7,7 @@ from reference import check_oracle, oracle_figures
 from vnf_lab import env as env_module, harness
 from vnf_lab.baselines import RandomAgent
 from vnf_lab.env import (VnfSpec, CostParams, PoolConfig, TrafficConfig,
-                         ParamAction, EpochTraffic, VnfEnv, resource_range)
+                         ParamAction, EpochTraffic, VnfEnv, cost_components, resource_range)
 from vnf_lab.harness import default_vnfs
 
 
@@ -122,6 +122,32 @@ class TestApplyAction:
             assert (env.state.mem[:3].sum(axis=1) <= 50 + 1e-9).all()
             # users sit only on deployed instances
             assert not ((env.state.users[:3] > 0) & (env.state.cpu[:3] <= 0)).any()
+
+    def test_no_traffic_snapshot_fails_before_changing_the_state(self):
+        cfg = harness.defaults()
+        env = harness.build_env(cfg, 0)
+        with pytest.raises(ValueError, match="advance an epoch first"):
+            env.apply_action(0, ParamAction(0, 1.0, 1.0))
+        assert env.state.users.sum() == 0 and env.state.cpu.sum() == 0.0
+
+    def test_first_request_of_a_new_snapshot_counts_its_user_once(self):
+        """The kept user count starts from the state before the request that
+        builds it, then adds that request's user: on a server, on the cloud,
+        after a fall-through, or none on an idle visit."""
+        env = make_env()
+        env.apply_action(0, ParamAction(0, 6.0, 9.0))
+        env.apply_action(1, ParamAction(3))
+        requests = [(2, ParamAction(1, 4.0, 8.0), True), (0, ParamAction(3), True),
+                    (1, ParamAction(0, 60.0, 0.0), True), (1, ParamAction(0, 1.0, 1.0), False),
+                    (2, ParamAction(3), False)]
+        for vnf, action, assign_user in requests:
+            env.cur = EpochTraffic(np.zeros(3, dtype=np.int64), np.zeros(3), 10.0, 0)
+            before = int(env.state.users.sum())
+            out = env.apply_action(vnf, action, assign_user)
+            users = int(env.state.users.sum())
+            assert users == before + assign_user and env._users == users
+            num = cost_components(env.state, env.table, env.costs, 10.0)[3]
+            assert out.network_cost == float(num.sum() / users)
 
 
 class TestEncodeState:

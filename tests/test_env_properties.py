@@ -1,9 +1,9 @@
 """Property tests of the environment's invariants: small random pools and
 catalogues, driven by the random and the greedy policy, checked after every
 request and every epoch. Among them: the cost matrices the environment keeps
-and refreshes cell by cell equal a fresh cost_components of the state, and
-both the features a request is given and the next-state features recorded
-after it equal a fresh encode_state."""
+and refreshes cell by cell equal a fresh cost_components of the state, its
+kept user count equals the state's, and both the features a request is given
+and the next-state features recorded after it equal a fresh encode_state."""
 
 import dataclasses
 
@@ -76,6 +76,7 @@ def test_invariants_hold_on_every_request_and_epoch(scenario):
 
     def checked_apply(vnf, action, assign_user=True):
         out = apply_action(vnf, action, assign_user)
+        assert env._users == int(env.state.users.sum())  # the kept user count
         psis.append(fresh_psi(env, vnf, action, out))
         next_states.append(env.encode_state(vnf))
         return out

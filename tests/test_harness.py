@@ -514,6 +514,26 @@ class TestCli:
         assert "'greedy'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_compare_checks_every_agent_before_running_any(self, tmp_path, capsys,
+                                                           monkeypatch):
+        """An unknown name after two learners fails before either is trained."""
+        calls = []
+        monkeypatch.setattr(harness, "_drive", lambda *a, **k: calls.append("_drive"))
+        monkeypatch.setattr(harness, "evaluate_agent",
+                            lambda *a, **k: calls.append("evaluate_agent"))
+        path = tmp_path / "defaults.json"
+        path.write_text(export_defaults())
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "--config", str(path), "--agents", "ddpg,pat,bogus",
+                         "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: agent.kind: unknown agent 'bogus'\n"
+        assert calls == [] and not out.exists()
+        # a bad key in the config's own block of a later agent fails as early
+        cfg = dataclasses.replace(desk_cfg(), agent={"kind": "ddpg", "tau": 5.0})
+        with pytest.raises(ConfigError, match="tau"):
+            compare(cfg, ["pat", "ddpg"])
+        assert calls == []
+
 
 class TestBlasThreads:
     VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

@@ -55,13 +55,15 @@ class TestForward:
 
     def test_forward_is_pure(self):
         net = build((4, 128, 64, 2), seed=7)
-        before = [w.copy() for w in net.weights]
+        before = [p.copy() for p in net.weights + net.biases]
         x = np.ones(4)
         a = nn.forward(net, x)
         b = nn.forward(net, x)
         assert (a == b).all()
-        for w0, w1 in zip(before, net.weights):
-            assert (w0 == w1).all()
+        nn.forward(net, np.ones((3, 4)))
+        assert (x == 1.0).all()
+        for p0, p1 in zip(before, net.weights + net.biases):
+            assert (p0 == p1).all()
 
     def test_finite_inputs_stay_finite(self):
         net = build((4, 128, 64, 2), head_scale=(50.0, 50.0), seed=8)
@@ -297,3 +299,44 @@ class TestMatchesPlainFormulas:
         assert adam.t == adam_ref.t == 5
         for (m, mb), (m_ref, mb_ref) in zip(adam.m + adam.v, adam_ref.m + adam_ref.v):
             assert same_bits(m, m_ref) and same_bits(mb, mb_ref)
+
+
+def edge_rows(n_in, rng):
+    """Ordinary rows, one plain and the others each mixed with one kind of
+    edge value: signed zeros, subnormals, infinities, NaN; and rows made
+    wholly of -0.0 and of subnormals."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    mixes = [(), (0.0, -0.0), (tiny, -tiny, 1e3 * tiny), (np.inf,), (-np.inf, np.inf),
+             (np.nan,)]
+    rows = rng.normal(0, 1, (len(mixes) + 2, n_in))
+    for row, values in zip(rows, mixes):
+        row[rng.choice(n_in, size=len(values), replace=False)] = values
+    rows[-2] = -0.0
+    rows[-1] = tiny * rng.integers(-3, 4, n_in)
+    return rows
+
+
+class TestCachelessForward:
+    """nn.forward, the inference pass, against forward_cached's output."""
+
+    @pytest.mark.parametrize("sizes, head", NETS + [((354, 128, 64, 11), None),
+                                                    ((365, 128, 64, 2), (50.0, 40.0))])
+    @pytest.mark.parametrize("batch", ["row", 1, 7, 128])
+    def test_equals_forward_cached_bitwise(self, sizes, head, batch):
+        """A 1-D row stays 1-D, a (1, n) row and batches keep their shape."""
+        net = random_net(sizes, head, seed=46)
+        rng = np.random.default_rng(47)
+        edges = edge_rows(net.n_in, rng)
+        if batch == "row":
+            inputs = list(edges)
+        elif batch == 1:
+            inputs = [row[None, :] for row in edges]
+        else:
+            x = rng.normal(0, 1, (batch, net.n_in))
+            picked = rng.permutation(batch)[:len(edges)]
+            x[picked] = edges[:len(picked)]
+            inputs = [x]
+        with np.errstate(all="ignore"):
+            for x in inputs:
+                y, _ = nn.forward_cached(net, x)
+                assert same_bits(nn.forward(net, x), y)

@@ -1,12 +1,17 @@
 """Parameterized-action learner: selection, targets, updates, persistence."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from vnf_lab import nn
+import reference
+from vnf_lab import cli, nn
 from vnf_lab.baselines import BaselineRlConfig, DdpgPairAgent, DdqnPairAgent, DiscretizedGrid
 from vnf_lab.env import ParamAction
-from vnf_lab.pat import PatAgent, PatConfig, ReplayBuffer, ascend_param_actor, one_hot
+from vnf_lab.pat import (LearnerBase, PatAgent, PatConfig, ReplayBuffer, ascend_param_actor,
+                         one_hot)
 
 STATE_DIM = 12
 N_TARGETS = 4
@@ -486,3 +491,79 @@ class TestConfigValidation:
             PatConfig(clip_c=0.05, clip_c_min=0.1)
         with pytest.raises(ValueError):
             PatConfig(batch_size=256, buffer_capacity=128)
+
+
+def action_bits(action: ParamAction):
+    return action.target, struct.pack("<dd", action.d_cpu, action.d_mem)
+
+
+class TestFirstFormulas:
+    """The cacheless forward and the float-scalar actor step against the
+    decision formulas as first written (tests/reference.py), bit for bit."""
+
+    @pytest.mark.parametrize("clip_c", [0.5, 0.0])
+    def test_actor_step_equals_the_array_form_bitwise(self, clip_c):
+        """Ordinary, rail-saturated and NaN actor outputs, exploring or not:
+        the same deltas to the bit and the same rng draws. A zero clip_c
+        makes every noise draw tie with a zero bound."""
+        got, want = (make_agent(seed=21, clip_c=clip_c, clip_c_min=clip_c) for _ in range(2))
+        for agent in (got, want):
+            energize(agent.actor_param, np.random.default_rng(23), std=3.0)
+        rng = np.random.default_rng(22)
+        rails = 0
+        for i in range(300):
+            if i == 250:
+                for agent in (got, want):
+                    agent.actor_param.biases[-1][0] = np.nan
+            s = rng.normal(0, 1, STATE_DIM)
+            a = int(rng.integers(N_TARGETS))
+            explore = i % 3 > 0
+            action = got._actor_step(got.actor_param, s, a, explore)
+            assert action_bits(action) == action_bits(
+                reference.actor_step_reference(want, want.actor_param, s, a, explore))
+            rails += abs(action.d_cpu) == SCALE[0]
+        assert rails > 10
+        assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+    @pytest.mark.parametrize("clip_c", [0.5, 0.0])
+    def test_actor_step_on_edge_outputs_equals_the_array_form_bitwise(self, clip_c,
+                                                                       monkeypatch):
+        """Actor outputs of signed zeros, subnormals, values on and past the
+        rails, and NaN: np.clip's choice of the bound on a tie decides the
+        sign of a zero, and the float form keeps it."""
+        edges = [0.0, -0.0, 1e-310, -1e-310, 50.0, -50.0, 50.5, -1e300, np.nan]
+        got, want = (make_agent(seed=24, clip_c=clip_c, clip_c_min=clip_c) for _ in range(2))
+        s = np.zeros(STATE_DIM)
+        for p in ([c, m] for c in edges for m in edges):
+            monkeypatch.setattr(nn, "forward", lambda net, x: np.array(p))
+            monkeypatch.setattr(reference, "forward_reference", lambda net, x: np.array(p))
+            for explore in (True, False):
+                assert action_bits(got._actor_step(got.actor_param, s, 0, explore)) == \
+                    action_bits(reference.actor_step_reference(want, want.actor_param, s, 0,
+                                                               explore)), (p, explore)
+        assert got.rng.bit_generator.state == want.rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["pat", "ddqn", "ddpg"])
+    def test_train_outputs_equal_those_of_the_first_formulas(self, kind, tmp_path, monkeypatch):
+        """A desk-scale train run past the warm-up (both phases of a pair)
+        writes the same metrics.csv, summary.json and checkpoint bytes with
+        the first formulas patched in."""
+        doc = {"pool": {"k_servers": 3, "n_vnfs": 3},
+               "agent": {"kind": kind, "warmup_size": 300, "batch_size": 32},
+               "run": {"seed": 11, "total_epochs": 150, "eval_epochs": 20}}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+
+        def train(out):
+            assert cli.main(["train", "--config", str(path), "--agent", kind,
+                             "--out", str(out), "--quiet"]) == 0
+            return [(out / name).read_bytes()
+                    for name in ("metrics.csv", "summary.json", "checkpoint.npz")]
+
+        got = train(tmp_path / "now")
+        monkeypatch.setattr(nn, "forward", reference.forward_reference)
+        monkeypatch.setattr(LearnerBase, "_actor_step", reference.actor_step_reference)
+        want = train(tmp_path / "first")
+        assert got == want
+        rows = got[0].decode().splitlines()
+        assert len(rows) == 151 and float(rows[-1].split(",")[-2]) < 0.8  # eps decayed
