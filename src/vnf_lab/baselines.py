@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import ParamAction, PoolConfig, resource_range
-from .pat import (HIDDEN, LearnerBase, PatConfig, ascend_param_actor, one_hot,
-                  regress_critic)
+from .pat import HIDDEN, LearnerBase, PatConfig, ascend_param_actor, regress_critic
 from . import nn
 
 
@@ -101,10 +100,6 @@ class DiscretizedGrid:
         nm = len(self.values_mem)
         return float(self.values_cpu[index // nm]), float(self.values_mem[index % nm])
 
-    def index_of(self, d_cpu: float, d_mem: float) -> int:
-        """Nearest cell; exact for deltas generated from the lattice."""
-        return int(self.cells_of(np.array([[d_cpu, d_mem]]))[0])
-
     def cells_of(self, params: np.ndarray) -> np.ndarray:
         """Nearest cell of each (d_cpu, d_mem) row, per axis the first of
         equally near lattice values."""
@@ -165,18 +160,16 @@ class _PairedLearner(LearnerBase):
 
 
 class DdqnPairAgent(_PairedLearner):
-    """Double-DQN over servers paired with a lattice Q-network over deltas."""
+    """Double-DQN over servers paired with a Q-network over the delta lattice
+    of cfg.resolution that spans the parameter box."""
 
     _KIND = "ddqn"
     _ADAMS = {"adam_server": "server_q", "adam_param": "param_q"}
 
-    def __init__(self, state_dim: int, n_targets: int, grid: DiscretizedGrid,
-                 cfg: BaselineRlConfig | None = None, seed=0):
-        super().__init__(state_dim, n_targets, cfg, seed)
-        self.grid = grid
-        s = self.state_dim
-        self._init_nets(server_q=nn.Mlp((s, *HIDDEN, self.n_targets)),
-                        param_q=nn.Mlp((s, *HIDDEN, grid.n_cells)))
+    def _build(self, s: int, a: int):
+        self.grid = DiscretizedGrid(self.cfg.resolution, *self._box)
+        self._init_nets(server_q=nn.Mlp((s, *HIDDEN, a)),
+                        param_q=nn.Mlp((s, *HIDDEN, self.grid.n_cells)))
 
     def select(self, features, vnf: int = 0, state=None, has_user: bool = True) -> ParamAction:
         s = np.asarray(features, dtype=np.float64)
@@ -195,16 +188,6 @@ class DdqnPairAgent(_PairedLearner):
         nn.soft_update(self.t_param_q, self.param_q, self.cfg.tau)
         return loss
 
-    def _meta(self) -> dict:
-        g = self.grid
-        return {"resolution": g.resolution,
-                "span_cpu": float(g.values_cpu[-1] - g.values_cpu[0] + g.resolution),
-                "span_mem": float(g.values_mem[-1] - g.values_mem[0] + g.resolution)}
-
-    @staticmethod
-    def _from_meta(meta: dict) -> DiscretizedGrid:
-        return DiscretizedGrid(meta["resolution"], meta["span_cpu"], meta["span_mem"])
-
 
 class DdpgPairAgent(_PairedLearner):
     """Double-DQN server selector paired with a deterministic parameter actor
@@ -213,11 +196,7 @@ class DdpgPairAgent(_PairedLearner):
     _KIND = "ddpg"
     _ADAMS = {"adam_server": "server_q", "adam_actor": "actor", "adam_critic": "critic"}
 
-    def __init__(self, state_dim: int, n_targets: int, param_scale,
-                 cfg: BaselineRlConfig | None = None, seed=0):
-        super().__init__(state_dim, n_targets, cfg, seed)
-        self._set_scale(param_scale)  # same critic footing as the twin learner
-        s, a = self.state_dim, self.n_targets
+    def _build(self, s: int, a: int):
         self._init_nets(server_q=nn.Mlp((s, *HIDDEN, a)),
                         actor=nn.Mlp((s + a, *HIDDEN, 2), head_scale=self.scale),
                         critic=nn.Mlp((s + a + 2, *HIDDEN, 1)))
@@ -232,7 +211,7 @@ class DdpgPairAgent(_PairedLearner):
         """Single-critic bootstrap at the target actor's noiseless action."""
         _, _, _, rewards, next_states = batch
         a_next = np.argmax(nn.forward(self.server_q, next_states), axis=1)
-        oh = one_hot(a_next, self.n_targets)
+        oh = self._target_rows[a_next]
         p_next = nn.forward(self.t_actor, np.concatenate([next_states, oh], axis=1))
         p_next[a_next == self.cloud_action] = 0.0
         xc = self._critic_input(next_states, oh, p_next)
@@ -241,7 +220,7 @@ class DdpgPairAgent(_PairedLearner):
     def _update_params(self, batch) -> float:
         states, actions, params, _, _ = batch
         y = self.compute_targets(batch)
-        oh = one_hot(actions, self.n_targets)
+        oh = self._target_rows[actions]
         loss = regress_critic(self.critic, self.adam_critic,
                               self._critic_input(states, oh, params), y)
         ascend_param_actor(self.actor, self.adam_actor, self.critic, states, oh,

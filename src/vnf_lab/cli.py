@@ -9,7 +9,6 @@ import sys
 
 from . import harness
 from .harness import ConfigError
-from .pat import LearnerBase
 
 
 def _add_common(p):
@@ -79,14 +78,15 @@ def main(argv=None) -> int:
             cfg = _load(args)
             seed = harness.resolve_seed(cfg, args.seed)
             env = harness.build_env(cfg, seed, stream=1)
-            agent = harness.build_agent(cfg, env, seed)
-            if isinstance(agent, LearnerBase):
+            kind = cfg.agent["kind"]
+            if kind not in harness.LEARNERS:
+                agent = harness.build_agent(cfg, env, seed)
+            else:
                 ckpt = args.checkpoint or cfg.run.checkpoint_path
                 if not ckpt:
-                    raise ConfigError(f"eval: agent {cfg.agent['kind']!r} needs a trained "
-                                      "checkpoint: pass --checkpoint or set "
-                                      "run.checkpoint_path")
-                agent = type(agent).load(ckpt, seed=seed)
+                    raise ConfigError(f"eval: agent {kind!r} needs a trained checkpoint: "
+                                      "pass --checkpoint or set run.checkpoint_path")
+                agent = harness.LEARNERS[kind].load(ckpt, seed=seed)
                 got, want = (agent.state_dim, agent.n_targets), (env.feature_length, env.n_targets)
                 if got != want:
                     raise ConfigError(f"eval: checkpoint {ckpt} has (state_dim, n_targets) "

@@ -136,9 +136,7 @@ class EpochTraffic:
     """Traffic realization for one epoch."""
 
     arrivals: np.ndarray  # int64, shape (N,)
-    lambdas: np.ndarray   # float64, shape (N,)
     cloud_rate: float
-    epoch: int
 
 
 @dataclass
@@ -542,8 +540,7 @@ class VnfEnv:
                 [sample_rate_block(s, self.rng_traffic) for s in self.specs])
         arrivals = sample_arrivals(self.lambdas, self.traffic_cfg.slot_t, self.rng_traffic)
         rate = sample_cloud_rate(self.traffic_cfg, self.rng_traffic)
-        self.cur = EpochTraffic(arrivals=arrivals, lambdas=self.lambdas.copy(),
-                                cloud_rate=rate, epoch=self.epoch)
+        self.cur = EpochTraffic(arrivals=arrivals, cloud_rate=rate)
         order = self.rng_traffic.permutation(self.pool.n_vnfs)
 
         records = []

@@ -16,8 +16,7 @@ import numpy as np
 from .env import (VnfSpec, CostParams, PoolConfig, TrafficConfig, VnfEnv,
                   EpochMetrics)
 from .pat import LearnerBase, PatAgent
-from .baselines import (GreedyAgent, CloudAgent, RandomAgent, DiscretizedGrid,
-                        DdqnPairAgent, DdpgPairAgent)
+from .baselines import GreedyAgent, CloudAgent, RandomAgent, DdqnPairAgent, DdpgPairAgent
 
 SEED_ENV_VAR = "VNF_LAB_SEED"
 
@@ -29,8 +28,9 @@ KPI_KEYS = tuple(f.name for f in METRIC_FIELDS if f.name not in ("epoch", "eps",
 
 # stable stream tags so every agent kind draws from its own seed lineage
 AGENT_KINDS = {"pat": 1, "greedy": 2, "cloud": 3, "random": 4, "ddqn": 5, "ddpg": 6}
-# each learner's config class; its fields are the agent block's keys
-RL_CONFIGS = {cls._KIND: cls._CONFIG for cls in (PatAgent, DdqnPairAgent, DdpgPairAgent)}
+# the learners by kind, and each one's config class, whose fields are the agent block's keys
+LEARNERS = {cls._KIND: cls for cls in (PatAgent, DdqnPairAgent, DdpgPairAgent)}
+RL_CONFIGS = {kind: cls._CONFIG for kind, cls in LEARNERS.items()}
 
 # default catalogue: ten service profiles
 # (c0, cr, dc, m0, mr, dm, qos_min, qos_max, gamma_sla, mu_arr, sigma_arr)
@@ -120,10 +120,14 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    for key in data:
-        if key not in allowed:
+    fields = {f.name: f.type for f in dataclasses.fields(cls)}
+    for key, value in data.items():
+        if key not in fields:
             raise ConfigError(f"{path}.{key}: unknown key")
+        # JSON numbers like 5.0 and true would reach range() and array shapes
+        if fields[key] in ("int", "int | None") and type(value) is not int \
+                and not (value is None and fields[key] == "int | None"):
+            raise ConfigError(f"{path}: {key} takes integers, not {value!r}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -226,13 +230,8 @@ def build_agent(cfg: ExperimentConfig, env: VnfEnv, seed: int):
     if kind == "random":
         return RandomAgent(cfg.pool, seed=agent_seed)
     rl = RL_CONFIGS[kind](**{k: v for k, v in agent.items() if k != "kind"})
-    scale = (cfg.pool.rho_max, cfg.pool.eta_max)
-    if kind == "pat":
-        return PatAgent(env.feature_length, env.n_targets, scale, rl, seed=agent_seed)
-    if kind == "ddqn":
-        grid = DiscretizedGrid(rl.resolution, cfg.pool.rho_max, cfg.pool.eta_max)
-        return DdqnPairAgent(env.feature_length, env.n_targets, grid, rl, seed=agent_seed)
-    return DdpgPairAgent(env.feature_length, env.n_targets, scale, rl, seed=agent_seed)
+    return LEARNERS[kind](env.feature_length, env.n_targets,
+                          (cfg.pool.rho_max, cfg.pool.eta_max), rl, seed=agent_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +381,8 @@ def compare(cfg: ExperimentConfig, agent_names, seeds=None, out_dir=None,
     if repeated:
         raise ConfigError(f"compare: agent {', '.join(map(repr, repeated))} named twice")
     seeds = [resolve_seed(cfg)] if seeds is None else [int(s) for s in seeds]
+    if not seeds:
+        raise ConfigError("compare: need at least one seed")
     # every agent's config is built and checked before any job runs
     acfgs = {name: dataclasses.replace(cfg, agent=_agent_block(
         cfg.agent if cfg.agent.get("kind") == name else {"kind": name})) for name in names}

@@ -1,5 +1,5 @@
 """Small dense-network toolkit: a cacheless forward for inference, a forward
-with cached activations for training, exact backprop (weight gradients in
+with cached activations for training batches, exact backprop (weight gradients in
 backward, the input gradient in input_grad), Adam, soft target blending,
 checkpoints.
 
@@ -14,6 +14,10 @@ from __future__ import annotations
 import numpy as np
 
 LEAKY_SLOPE = 0.01
+# Adam's moment decays and denominator guard, at the community defaults
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class Mlp:
@@ -72,11 +76,9 @@ def leaky_relu_slope(z):
 
 
 def forward_cached(mlp: Mlp, x):
-    """Returns (output, cache). Pure: parameters are never touched."""
+    """Returns (output, cache) of a (batch, n_in) x, the training pass. Pure:
+    parameters are never touched."""
     a = np.asarray(x, dtype=np.float64)
-    single = a.ndim == 1
-    if single:
-        a = a[None, :]
     acts = [a]
     zs = []
     last = len(mlp.weights) - 1
@@ -93,12 +95,12 @@ def forward_cached(mlp: Mlp, x):
     else:
         t = np.tanh(zs[-1])
         y = t * mlp.head_scale
-    cache = (acts, zs, t, single)
-    return (y[0] if single else y), cache
+    return y, (acts, zs, t)
 
 
 def forward(mlp: Mlp, x):
-    """forward_cached's output, the same bits, without the cache; 1-D in, 1-D out."""
+    """forward_cached's output, the same bits, without the cache; a 1-D row
+    gives a 1-D output, the bits of the (1, n_in) batch's row."""
     a = x
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
@@ -108,11 +110,8 @@ def forward(mlp: Mlp, x):
     return a if mlp.head_scale is None else np.tanh(a) * mlp.head_scale
 
 
-def _head_grad(mlp: Mlp, t, grad_out):
+def _head_grad(mlp: Mlp, t, g):
     """dL/dz of the output layer from dL/dy."""
-    g = np.asarray(grad_out, dtype=np.float64)
-    if g.ndim == 1:
-        g = g[None, :]
     if mlp.head_scale is not None:
         g = g * mlp.head_scale * (1.0 - t * t)
     return g
@@ -130,7 +129,7 @@ def backward(mlp: Mlp, cache, grad_out):
 
     Returns the weight gradients only: a list of (dW, db) in layer order.
     input_grad gives dL/dx."""
-    acts, zs, t, _ = cache
+    acts, zs, t = cache
     g = _head_grad(mlp, t, grad_out)
     grads = [None] * len(mlp.weights)
     for i in range(len(mlp.weights) - 1, -1, -1):
@@ -142,12 +141,11 @@ def backward(mlp: Mlp, cache, grad_out):
 
 def input_grad(mlp: Mlp, cache, grad_out):
     """dL/dx of the cached pass, without any weight gradient."""
-    _, zs, t, single = cache
+    _, zs, t = cache
     g = _head_grad(mlp, t, grad_out)
     for i in range(len(mlp.weights) - 1, 0, -1):
         g = _through_layer(mlp, zs, i, g)
-    g = g @ mlp.weights[0]
-    return g[0] if single else g
+    return g @ mlp.weights[0]
 
 
 def softmax(x):
@@ -158,14 +156,10 @@ def softmax(x):
 
 
 class AdamState:
-    """Adam with bias correction at community defaults."""
+    """Adam with bias correction, ADAM_BETA1/ADAM_BETA2/ADAM_EPS."""
 
-    def __init__(self, mlp: Mlp, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, mlp: Mlp, lr: float = 1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [(np.zeros_like(w), np.zeros_like(b))
                   for w, b in zip(mlp.weights, mlp.biases)]
@@ -174,8 +168,8 @@ class AdamState:
 
     def step(self, mlp: Mlp, grads):
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for i, (dw, db) in enumerate(grads):
             (mw, mb), (vw, vb) = self.m[i], self.v[i]
             self._move(mlp.weights[i], dw, mw, vw, c1, c2)
@@ -185,18 +179,18 @@ class AdamState:
         """m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
         p -= lr (m / c1) / (sqrt(v / c2) + eps), evaluated in that order
         through two temporaries."""
-        m *= self.beta1
-        num = np.multiply(g, 1.0 - self.beta1)
+        m *= ADAM_BETA1
+        num = np.multiply(g, 1.0 - ADAM_BETA1)
         m += num
-        v *= self.beta2
-        np.multiply(g, 1.0 - self.beta2, out=num)
+        v *= ADAM_BETA2
+        np.multiply(g, 1.0 - ADAM_BETA2, out=num)
         num *= g
         v += num
         np.divide(m, c1, out=num)
         num *= self.lr
         den = np.divide(v, c2)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += ADAM_EPS
         num /= den
         p -= num
 

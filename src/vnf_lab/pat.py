@@ -60,12 +60,8 @@ class PatConfig:
             raise ValueError("need 0 <= clip_c_min <= clip_c")
         if self.gamma_max <= 0:
             raise ValueError("gamma_max must be > 0")
-        sizes = (self.batch_size, self.buffer_capacity, self.warmup_size,
-                 self.updates_per_epoch)
-        if any(type(n) is not int for n in sizes):
-            raise ValueError("batch_size, buffer_capacity, warmup_size and "
-                             "updates_per_epoch must be integers")
-        if min(sizes) < 1:
+        if min(self.batch_size, self.buffer_capacity, self.warmup_size,
+               self.updates_per_epoch) < 1:
             raise ValueError("batch/buffer/warmup/updates sizes must be >= 1")
         if self.batch_size > self.buffer_capacity:
             raise ValueError("batch_size cannot exceed buffer_capacity")
@@ -101,13 +97,6 @@ class ReplayBuffer:
         idx = rng.integers(0, self.size, size=batch_size)
         return (self.states[idx], self.actions[idx], self.params[idx],
                 self.rewards[idx], self.next_states[idx])
-
-
-def one_hot(indices, width: int) -> np.ndarray:
-    indices = np.asarray(indices, dtype=np.int64)
-    out = np.zeros((indices.shape[0], width))
-    out[np.arange(indices.shape[0]), indices] = 1.0
-    return out
 
 
 def ascend_param_actor(actor: nn.Mlp, adam: nn.AdamState, critic: nn.Mlp,
@@ -183,12 +172,12 @@ class LearnerBase:
     and the exploration schedules derived from it, the bounded-delta actor
     step, warm-up gated training and checkpoints.
 
-    A subclass names its kind, its config class and its optimizers (_ADAMS:
-    optimizer -> net), builds the live nets through _init_nets, and
+    Every kind is built as Kind(state_dim, n_targets, param_scale, cfg, seed),
+    param_scale being the (rho_max, eta_max) box of the deltas. A subclass
+    names its kind, its config class and its optimizers (_ADAMS: optimizer ->
+    net), builds its live nets in _build(s, a) through _init_nets, and
     implements _update(batch) -> stats. Its checkpointed nets (_NETS) are the
-    live nets in _ADAMS order, then their lagged t_ copies. _meta/_from_meta carry
-    the third constructor argument through a checkpoint; the default is the
-    parameter box of the actor-based learners."""
+    live nets in _ADAMS order, then their lagged t_ copies."""
 
     _KIND = ""
     _CONFIG = PatConfig
@@ -199,17 +188,10 @@ class LearnerBase:
         live = tuple(cls._ADAMS.values())
         cls._NETS = live + tuple("t_" + name for name in live)
 
-    def __init__(self, state_dim: int, n_targets: int, cfg, seed):
+    def __init__(self, state_dim: int, n_targets: int, param_scale, cfg=None, seed=0):
         self.cfg = cfg or self._CONFIG()
         self.state_dim = int(state_dim)
         self.n_targets = int(n_targets)
-        self.rng = np.random.default_rng(seed)
-        self.buffer = ReplayBuffer(self.cfg.buffer_capacity, self.state_dim)
-        self._target_rows = np.eye(self.n_targets)  # row a: target a one-hot
-        self.updates = 0
-        self.eval_mode = False
-
-    def _set_scale(self, param_scale):
         self.scale = np.asarray(param_scale, dtype=np.float64)
         if self.scale.shape != (2,) or (self.scale <= 0).any():
             raise ValueError("param_scale must be two positive bounds")
@@ -217,6 +199,15 @@ class LearnerBase:
         # critics see deltas at half-unit scale so the one-hot target coords
         # keep the larger footing; raw-unit gradients recovered by chain rule
         self.p_feat = 2.0 * self.scale
+        self.rng = np.random.default_rng(seed)
+        self.buffer = ReplayBuffer(self.cfg.buffer_capacity, self.state_dim)
+        self._target_rows = np.eye(self.n_targets)  # row a: target a one-hot, row or batch gather
+        self.updates = 0
+        self.eval_mode = False
+        self._build(self.state_dim, self.n_targets)
+
+    def _build(self, s: int, a: int):
+        raise NotImplementedError
 
     def _init_nets(self, **live):
         """Gaussian-init the live nets in order, clone each into its lagged
@@ -294,13 +285,6 @@ class LearnerBase:
     # ------------------------------------------------------------------
     # checkpointing
 
-    def _meta(self) -> dict:
-        return {"scale": self.scale.tolist()}
-
-    @staticmethod
-    def _from_meta(meta: dict):
-        return meta["scale"]
-
     def save(self, path) -> str:
         """Write nets, optimizer moments and meta; returns the file written."""
         data = {}
@@ -309,7 +293,7 @@ class LearnerBase:
         for name in self._ADAMS:
             data.update(nn.adam_state(getattr(self, name), name))
         meta = {"kind": self._KIND, "state_dim": self.state_dim,
-                "n_targets": self.n_targets, **self._meta(),
+                "n_targets": self.n_targets, "scale": self.scale.tolist(),
                 "updates": self.updates, "cfg": asdict(self.cfg)}
         data["meta"] = np.array(json.dumps(meta))
         path = npz_path(path)
@@ -324,7 +308,9 @@ class LearnerBase:
             if meta.get("kind") != cls._KIND:
                 raise ValueError(f"{path}: checkpoint of a {meta.get('kind')!r} learner, "
                                  f"not {cls._KIND!r}")
-            agent = cls(meta["state_dim"], meta["n_targets"], cls._from_meta(meta),
+            # a DDQN checkpoint of older releases stores its lattice's spans, not scale
+            scale = meta["scale"] if "scale" in meta else (meta["span_cpu"], meta["span_mem"])
+            agent = cls(meta["state_dim"], meta["n_targets"], scale,
                         cls._CONFIG(**meta["cfg"]), seed=seed)
             for name in cls._NETS:
                 setattr(agent, name, nn.mlp_from_state(data, name))
@@ -342,11 +328,7 @@ class PatAgent(LearnerBase):
     _ADAMS = {"adam_actor_action": "actor_action", "adam_actor_param": "actor_param",
               "adam_critic_1": "critic_1", "adam_critic_2": "critic_2"}
 
-    def __init__(self, state_dim: int, n_targets: int, param_scale,
-                 cfg: PatConfig | None = None, seed=0):
-        super().__init__(state_dim, n_targets, cfg, seed)
-        self._set_scale(param_scale)
-        s, a = self.state_dim, self.n_targets
+    def _build(self, s: int, a: int):
         self._init_nets(actor_action=nn.Mlp((s, *HIDDEN, a)),
                         actor_param=nn.Mlp((s + a, *HIDDEN, 2), head_scale=self.scale),
                         critic_1=nn.Mlp((s + a + 2, *HIDDEN, 1)),
@@ -366,7 +348,7 @@ class PatAgent(LearnerBase):
         b = next_states.shape[0]
         scores = nn.forward(self.t_actor_action, next_states)
         a_next = np.argmax(scores, axis=1)
-        oh = one_hot(a_next, self.n_targets)
+        oh = self._target_rows[a_next]
         p_next = nn.forward(self.t_actor_param, np.concatenate([next_states, oh], axis=1))
         p_next = np.clip(p_next + self._clipped_noise((b, 2)), -self.scale, self.scale)
         p_next[a_next == self.cloud_action] = 0.0  # offloads carry no parameters
@@ -379,7 +361,7 @@ class PatAgent(LearnerBase):
 
     def update_critics(self, batch, y):
         states, actions, params, _, _ = batch
-        xc = self._critic_input(states, one_hot(actions, self.n_targets), params)
+        xc = self._critic_input(states, self._target_rows[actions], params)
         return (regress_critic(self.critic_1, self.adam_critic_1, xc, y),
                 regress_critic(self.critic_2, self.adam_critic_2, xc, y))
 
@@ -388,7 +370,7 @@ class PatAgent(LearnerBase):
         scores through a softmax relaxation at the stored deltas."""
         states, actions, params, _, _ = batch
         b = states.shape[0]
-        oh = one_hot(actions, self.n_targets)
+        oh = self._target_rows[actions]
         ascend_param_actor(self.actor_param, self.adam_actor_param,
                            self.critic_1, states, oh, param_scale=self.p_feat)
         scores, cache_a = nn.forward_cached(self.actor_action, states)

@@ -18,7 +18,7 @@ import numpy as np
 
 from vnf_lab import nn
 from vnf_lab.env import AllocationState, ParamAction, VnfSpec, cell_costs, resource_range
-from vnf_lab.nn import LEAKY_SLOPE
+from vnf_lab.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LEAKY_SLOPE
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -141,9 +141,6 @@ def leaky_factor_where(z):
 
 def forward_cached_reference(mlp, x):
     a = np.asarray(x, dtype=np.float64)
-    single = a.ndim == 1
-    if single:
-        a = a[None, :]
     acts, zs = [a], []
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
@@ -157,15 +154,13 @@ def forward_cached_reference(mlp, x):
     else:
         t = np.tanh(zs[-1])
         y = t * mlp.head_scale
-    return (y[0] if single else y), (acts, zs, t, single)
+    return y, (acts, zs, t)
 
 
 def backward_reference(mlp, cache, grad_out):
     """(weight gradients, input gradient) from one full backprop."""
-    acts, zs, t, single = cache
+    acts, zs, t = cache
     g = np.asarray(grad_out, dtype=np.float64)
-    if g.ndim == 1:
-        g = g[None, :]
     if mlp.head_scale is not None:
         g = g * mlp.head_scale * (1.0 - t * t)
     grads = [None] * len(mlp.weights)
@@ -174,27 +169,27 @@ def backward_reference(mlp, cache, grad_out):
         g = g @ mlp.weights[i]
         if i > 0:
             g = g * leaky_factor_where(zs[i - 1])
-    return grads, (g[0] if single else g)
+    return grads, g
 
 
 def adam_step_reference(adam, mlp, grads):
     """One Adam step on adam's moments and mlp's parameters."""
     adam.t += 1
-    c1 = 1.0 - adam.beta1 ** adam.t
-    c2 = 1.0 - adam.beta2 ** adam.t
+    c1 = 1.0 - ADAM_BETA1 ** adam.t
+    c2 = 1.0 - ADAM_BETA2 ** adam.t
     for i, (dw, db) in enumerate(grads):
         mw, mb = adam.m[i]
         vw, vb = adam.v[i]
-        mw *= adam.beta1
-        mw += (1.0 - adam.beta1) * dw
-        mb *= adam.beta1
-        mb += (1.0 - adam.beta1) * db
-        vw *= adam.beta2
-        vw += (1.0 - adam.beta2) * dw * dw
-        vb *= adam.beta2
-        vb += (1.0 - adam.beta2) * db * db
-        mlp.weights[i] -= adam.lr * (mw / c1) / (np.sqrt(vw / c2) + adam.eps)
-        mlp.biases[i] -= adam.lr * (mb / c1) / (np.sqrt(vb / c2) + adam.eps)
+        mw *= ADAM_BETA1
+        mw += (1.0 - ADAM_BETA1) * dw
+        mb *= ADAM_BETA1
+        mb += (1.0 - ADAM_BETA1) * db
+        vw *= ADAM_BETA2
+        vw += (1.0 - ADAM_BETA2) * dw * dw
+        vb *= ADAM_BETA2
+        vb += (1.0 - ADAM_BETA2) * db * db
+        mlp.weights[i] -= adam.lr * (mw / c1) / (np.sqrt(vw / c2) + ADAM_EPS)
+        mlp.biases[i] -= adam.lr * (mb / c1) / (np.sqrt(vb / c2) + ADAM_EPS)
 
 
 def soft_update_reference(target, source, tau):
@@ -205,20 +200,29 @@ def soft_update_reference(target, source, tau):
 
 
 # ---------------------------------------------------------------------------
-# the learners' batch-1 decisions as first written: inference through the
-# training pass, and the actor step's noise and clips on numpy arrays
+# the learners' inputs and batch-1 decisions as first written: one-hot rows
+# built by scatter, inference through the training pass on a (1, n) batch,
+# and the actor step's noise and clips on numpy arrays
+
+
+def one_hot(indices, width: int) -> np.ndarray:
+    indices = np.asarray(indices, dtype=np.int64)
+    out = np.zeros((indices.shape[0], width))
+    out[np.arange(indices.shape[0]), indices] = 1.0
+    return out
 
 
 def forward_reference(mlp, x):
-    y, _ = nn.forward_cached(mlp, x)
-    return y
+    x = np.asarray(x, dtype=np.float64)
+    y, _ = nn.forward_cached(mlp, np.atleast_2d(x))
+    return y[0] if x.ndim == 1 else y
 
 
 def actor_step_reference(agent, actor, s, a, explore):
     """LearnerBase._actor_step on arrays: _clipped_noise(2) and np.clip."""
     if a == agent.cloud_action:
         return ParamAction(a, 0.0, 0.0)
-    x = np.concatenate([s, agent._target_rows[a]])
+    x = np.concatenate([s, one_hot([a], agent.n_targets)[0]])
     p = forward_reference(actor, x)
     if explore:
         p = p + agent._clipped_noise(2)

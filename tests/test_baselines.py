@@ -9,8 +9,8 @@ from vnf_lab import cli, nn
 from vnf_lab.baselines import (BaselineRlConfig, CloudAgent, DdpgPairAgent,
                                DdqnPairAgent, DiscretizedGrid, GreedyAgent,
                                RandomAgent, dqn_update)
+from reference import one_hot
 from vnf_lab.env import AllocationState, ParamAction, PoolConfig, VnfSpec, qos, resource_range
-from vnf_lab.pat import one_hot
 
 STATE_DIM = 12
 N_TARGETS = 4
@@ -133,6 +133,10 @@ class TestCloudAndRandom:
         assert seq == again
 
 
+def cell_of(grid, d_cpu, d_mem) -> int:
+    return int(grid.cells_of(np.array([[d_cpu, d_mem]]))[0])
+
+
 class TestDiscretizedGrid:
     def test_default_lattice_shape(self):
         grid = DiscretizedGrid(5.0, 50.0, 50.0)
@@ -143,14 +147,14 @@ class TestDiscretizedGrid:
     def test_delta_index_roundtrip(self):
         grid = DiscretizedGrid(5.0, 50.0, 50.0)
         for i in range(grid.n_cells):
-            assert grid.index_of(*grid.delta(i)) == i
+            assert cell_of(grid, *grid.delta(i)) == i
 
     def test_zero_cell_exists_and_nearest_rounding(self):
         grid = DiscretizedGrid(5.0, 50.0, 50.0)
-        zero = grid.index_of(0.0, 0.0)
+        zero = cell_of(grid, 0.0, 0.0)
         assert grid.delta(zero) == (0.0, 0.0)
-        assert grid.index_of(-1.0, 1.0) == zero
-        assert grid.delta(grid.index_of(-24.0, 19.0)) == (-25.0, 20.0)
+        assert cell_of(grid, -1.0, 1.0) == zero
+        assert grid.delta(cell_of(grid, -24.0, 19.0)) == (-25.0, 20.0)
 
     @pytest.mark.parametrize("resolution,span", [(5.0, 50.0), (3.0, 20.0), (0.7, 9.0)])
     def test_batched_lookup_matches_the_scalar_loop(self, resolution, span):
@@ -177,7 +181,7 @@ class TestDiscretizedGrid:
             got = grid.cells_of(params)
             assert got.dtype == np.int64 and np.array_equal(got, loop(params))
         assert np.array_equal(grid.cells_of(lattice), np.arange(grid.n_cells))
-        assert [grid.index_of(c, m) for c, m in ties] == loop(ties).tolist()
+        assert [cell_of(grid, c, m) for c, m in ties] == loop(ties).tolist()
 
     def test_small_span_keeps_at_least_one_cell(self):
         grid = DiscretizedGrid(5.0, 2.0, 2.0)
@@ -232,9 +236,17 @@ class TestDqnUpdate:
 class TestDdqnPair:
     def make(self, seed=50, **over):
         cfg = small_cfg(alternation_period=2, **over)
-        grid = DiscretizedGrid(cfg.resolution, 50.0, 50.0)
-        agent = DdqnPairAgent(STATE_DIM, N_TARGETS, grid, cfg, seed=seed)
-        return agent, grid
+        agent = DdqnPairAgent(STATE_DIM, N_TARGETS, (50.0, 50.0), cfg, seed=seed)
+        return agent, agent.grid
+
+    @pytest.mark.parametrize("resolution, box", [(5.0, (50.0, 50.0)), (3.0, (20.0, 9.0))])
+    def test_lattice_of_the_resolution_spans_the_box(self, resolution, box):
+        agent = DdqnPairAgent(STATE_DIM, N_TARGETS, box, small_cfg(resolution=resolution))
+        want = DiscretizedGrid(resolution, *box)
+        assert agent.grid.resolution == resolution
+        assert np.array_equal(agent.grid.values_cpu, want.values_cpu)
+        assert np.array_equal(agent.grid.values_mem, want.values_mem)
+        assert agent.param_q.n_out == want.n_cells
 
     def test_select_deltas_come_from_the_lattice(self):
         agent, grid = self.make()

@@ -17,7 +17,7 @@ def make_env(k=3, n=3, seed=0, specs=None, traffic=None, pool=None):
     traffic = traffic or TrafficConfig()
     env = VnfEnv(pool, specs, CostParams(), traffic, seed=seed)
     # a fixed traffic snapshot so apply_action can be probed in isolation
-    env.cur = EpochTraffic(np.zeros(n, dtype=np.int64), np.zeros(n), 10.0, 0)
+    env.cur = EpochTraffic(np.zeros(n, dtype=np.int64), 10.0)
     return env
 
 
@@ -141,7 +141,7 @@ class TestApplyAction:
                     (1, ParamAction(0, 60.0, 0.0), True), (1, ParamAction(0, 1.0, 1.0), False),
                     (2, ParamAction(3), False)]
         for vnf, action, assign_user in requests:
-            env.cur = EpochTraffic(np.zeros(3, dtype=np.int64), np.zeros(3), 10.0, 0)
+            env.cur = EpochTraffic(np.zeros(3, dtype=np.int64), 10.0)
             before = int(env.state.users.sum())
             out = env.apply_action(vnf, action, assign_user)
             users = int(env.state.users.sum())
@@ -160,7 +160,7 @@ class TestEncodeState:
         env = make_env()
         env.apply_action(0, ParamAction(0, 5.0, 10.0))
         env.apply_action(1, ParamAction(env.state.cloud))
-        env.cur = EpochTraffic(np.array([2, 0, 1]), np.zeros(3), 8.0, 0)
+        env.cur = EpochTraffic(np.array([2, 0, 1]), 8.0)
         s = env.encode_state(2)
         n, k = 3, 3
         assert s[:3] == pytest.approx([0.2, 0.0, 0.1])          # arrivals / 10
@@ -203,7 +203,7 @@ class TestNextStateFeatures:
 
     def test_each_request_kind_matches_a_fresh_encode(self):
         env = make_env()
-        env.cur = EpochTraffic(np.array([3, 2, 1]), np.zeros(3), 9.5, 0)
+        env.cur = EpochTraffic(np.array([3, 2, 1]), 9.5)
         flags = env.layout.deployed
         outputs = []
         for label, vnf, action, assign_user, flag in self.REQUESTS:
@@ -265,7 +265,7 @@ class TestAdvanceEpoch:
         lambdas = []
         for _ in range(11):
             env.advance_epoch(offload_policy)
-            lambdas.append(env.cur.lambdas.copy())
+            lambdas.append(env.lambdas.copy())
         for t in range(1, 5):
             assert (lambdas[t] == lambdas[0]).all()
         assert not (lambdas[5] == lambdas[0]).all()

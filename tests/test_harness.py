@@ -326,6 +326,10 @@ class TestCompare:
         with pytest.raises(ConfigError):
             compare(desk_cfg(), [])
 
+    def test_compare_needs_seeds(self):
+        with pytest.raises(ConfigError, match="need at least one seed"):
+            compare(desk_cfg(), ["cloud"], seeds=[])
+
 
 class TestCli:
     def write_cfg(self, tmp_path, agent=None, **run):
@@ -443,6 +447,27 @@ class TestCli:
                          "--quiet"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: agent: ") and "integers" in err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("pool", "k_servers", 3.0), ("pool", "n_vnfs", 3.0), ("pool", "k_servers", True),
+        ("traffic", "t_max", 5.0), ("run", "total_epochs", 5.0), ("run", "eval_epochs", 2.0),
+        ("run", "metrics_every", True), ("run", "seed", 1.5), ("run", "seed", "1")])
+    def test_integer_keys_must_be_integers_in_every_section(self, tmp_path, capsys,
+                                                            section, key, value):
+        doc = desk_doc(total_epochs=2, eval_epochs=1)
+        doc.setdefault(section, {})[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate-config", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {section}: {key} ") and "integers" in err
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "x"),
+                         "--quiet"]) == 1
+        assert capsys.readouterr().err == err
+
+    def test_null_seed_is_accepted(self, tmp_path, capsys):
+        assert cli.main(["validate-config", "--config", self.write_cfg(tmp_path, seed=None)]) == 0
+        assert capsys.readouterr().out == "ok\n"
 
     def test_eval_writes_csv(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, agent={"kind": "cloud"})

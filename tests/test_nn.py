@@ -139,7 +139,7 @@ class TestAdam:
         adam = nn.AdamState(net, lr=1e-3)
         adam.step(net, [(np.array([[1.0]]), np.array([0.0]))])
         # bias-corrected m=v=1 on the first step, so the move is lr/(1+eps)
-        assert net.weights[0][0, 0] == pytest.approx(1.0 - 1e-3 / (1.0 + adam.eps), abs=1e-9)
+        assert net.weights[0][0, 0] == pytest.approx(1.0 - 1e-3 / (1.0 + nn.ADAM_EPS), abs=1e-9)
 
     def test_zero_gradient_is_a_fixed_point(self):
         net = build((3, 8, 2), seed=26)
@@ -267,8 +267,6 @@ class TestMatchesPlainFormulas:
         rng = np.random.default_rng(42)
         x = rng.normal(0, 1, (batch, net.n_in))
         gout = rng.normal(0, 1, (batch, net.n_out))
-        if batch == 1:
-            x, gout = x[0], gout[0]
         y, cache = nn.forward_cached(net, x)
         y_ref, cache_ref = reference.forward_cached_reference(net, x)
         assert same_bits(y, y_ref)
@@ -323,7 +321,8 @@ class TestCachelessForward:
                                                     ((365, 128, 64, 2), (50.0, 40.0))])
     @pytest.mark.parametrize("batch", ["row", 1, 7, 128])
     def test_equals_forward_cached_bitwise(self, sizes, head, batch):
-        """A 1-D row stays 1-D, a (1, n) row and batches keep their shape."""
+        """A 1-D row stays 1-D with the bits of its (1, n) batch; a (1, n)
+        row and batches keep their shape."""
         net = random_net(sizes, head, seed=46)
         rng = np.random.default_rng(47)
         edges = edge_rows(net.n_in, rng)
@@ -338,5 +337,5 @@ class TestCachelessForward:
             inputs = [x]
         with np.errstate(all="ignore"):
             for x in inputs:
-                y, _ = nn.forward_cached(net, x)
-                assert same_bits(nn.forward(net, x), y)
+                y, _ = nn.forward_cached(net, np.atleast_2d(x))
+                assert same_bits(nn.forward(net, x), y[0] if x.ndim == 1 else y)

@@ -8,10 +8,10 @@ import pytest
 
 import reference
 from vnf_lab import cli, nn
-from vnf_lab.baselines import BaselineRlConfig, DdpgPairAgent, DdqnPairAgent, DiscretizedGrid
+from reference import one_hot
+from vnf_lab.baselines import BaselineRlConfig, DdpgPairAgent, DdqnPairAgent
 from vnf_lab.env import ParamAction
-from vnf_lab.pat import (LearnerBase, PatAgent, PatConfig, ReplayBuffer, ascend_param_actor,
-                         one_hot)
+from vnf_lab.pat import LearnerBase, PatAgent, PatConfig, ReplayBuffer, ascend_param_actor
 
 STATE_DIM = 12
 N_TARGETS = 4
@@ -289,7 +289,7 @@ class TestActorUpdate:
             step = actor.weights[layer][idx] - old
             assert np.sign(step) == np.sign(g), (layer, idx, g, step)
             # first Adam step: lr * g / (|g| + eps)
-            assert abs(step) == pytest.approx(1e-4 * abs(g) / (abs(g) + adam.eps), rel=1e-2)
+            assert abs(step) == pytest.approx(1e-4 * abs(g) / (abs(g) + nn.ADAM_EPS), rel=1e-2)
 
     def test_score_actor_ascends_relaxed_objective(self):
         agent = make_agent(seed=27)
@@ -410,10 +410,8 @@ def make_learner(kind, seed):
         return make_agent(seed=seed)
     # a short phase, so a few updates train both sides of a pair
     cfg = BaselineRlConfig(alternation_period=2, **sizes)
-    if kind == "ddqn":
-        grid = DiscretizedGrid(cfg.resolution, *SCALE)
-        return DdqnPairAgent(STATE_DIM, N_TARGETS, grid, cfg, seed=seed)
-    return DdpgPairAgent(STATE_DIM, N_TARGETS, SCALE, cfg, seed=seed)
+    cls = DdqnPairAgent if kind == "ddqn" else DdpgPairAgent
+    return cls(STATE_DIM, N_TARGETS, SCALE, cfg, seed=seed)
 
 
 class TestCheckpoint:
@@ -448,6 +446,40 @@ class TestCheckpoint:
         agent.set_eval(True)
         again.set_eval(True)
         rng = np.random.default_rng(37)
+        for _ in range(20):
+            feats = rng.normal(0, 1, STATE_DIM)
+            assert agent.select(feats) == again.select(feats)
+
+    @pytest.mark.parametrize("box", [SCALE, (52.0, 47.0)])
+    def test_ddqn_checkpoint_with_lattice_meta_loads(self, tmp_path, box):
+        """A DDQN checkpoint of the older format stores its lattice's
+        resolution and spans in place of scale: it loads with the same
+        lattice and gives the same eval actions."""
+        cfg = BaselineRlConfig(alternation_period=2, batch_size=8, buffer_capacity=64,
+                               warmup_size=8)
+        agent = DdqnPairAgent(STATE_DIM, N_TARGETS, box, cfg, seed=42)
+        fill_buffer(agent, np.random.default_rng(43), 16)
+        for _ in range(5):
+            agent.train_step()
+        with np.load(agent.save(tmp_path / "now.npz")) as data:
+            arrays = {key: data[key] for key in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        g = agent.grid
+        arrays["meta"] = np.array(json.dumps({
+            "kind": "ddqn", "state_dim": STATE_DIM, "n_targets": N_TARGETS,
+            "resolution": g.resolution,
+            "span_cpu": float(g.values_cpu[-1] - g.values_cpu[0] + g.resolution),
+            "span_mem": float(g.values_mem[-1] - g.values_mem[0] + g.resolution),
+            "updates": meta["updates"], "cfg": meta["cfg"]}))
+        np.savez(tmp_path / "old.npz", **arrays)
+        again = DdqnPairAgent.load(tmp_path / "old.npz")
+        assert again.updates == 5
+        assert again.grid.resolution == g.resolution
+        assert np.array_equal(again.grid.values_cpu, g.values_cpu)
+        assert np.array_equal(again.grid.values_mem, g.values_mem)
+        agent.set_eval(True)
+        again.set_eval(True)
+        rng = np.random.default_rng(44)
         for _ in range(20):
             feats = rng.normal(0, 1, STATE_DIM)
             assert agent.select(feats) == again.select(feats)
