@@ -133,8 +133,7 @@ def dqn_update(net: nn.Mlp, target: nn.Mlp, adam: nn.AdamState,
     resid = q[rows, actions] - y
     gout = np.zeros_like(q)
     gout[rows, actions] = (2.0 / b) * resid
-    grads = nn.backward(net, cache, gout)
-    adam.step(net, grads)
+    adam.step(net, nn.backward(net, cache, gout))
     return float(np.mean(resid * resid))
 
 

@@ -117,6 +117,12 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     }
 
 
+# the JSON values a field of each annotated type takes: 5.0 would reach range(), true pass for 1
+_JSON_TYPES = {"int": ((int,), "integers"), "int | None": ((int, type(None)), "integers or null"),
+               "float": ((int, float), "numbers"),
+               "str | None": ((str, type(None)), "strings or null")}
+
+
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -124,10 +130,9 @@ def _build_section(cls, data: dict, path: str):
     for key, value in data.items():
         if key not in fields:
             raise ConfigError(f"{path}.{key}: unknown key")
-        # JSON numbers like 5.0 and true would reach range() and array shapes
-        if fields[key] in ("int", "int | None") and type(value) is not int \
-                and not (value is None and fields[key] == "int | None"):
-            raise ConfigError(f"{path}: {key} takes integers, not {value!r}")
+        types, what = _JSON_TYPES[fields[key]]
+        if type(value) not in types:
+            raise ConfigError(f"{path}: {key} takes {what}, not {value!r}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:

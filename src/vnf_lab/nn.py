@@ -3,10 +3,11 @@ with cached activations for training batches, exact backprop (weight gradients i
 backward, the input gradient in input_grad), Adam, soft target blending,
 checkpoints.
 
-Everything is float64 numpy. Hidden layers use leaky ReLU (slope 0.01);
-the output head is linear or tanh scaled componentwise. Adam and the soft
-update work in place but keep the textbook's operations in their order, so
-their results are the same bits as the plain formulas.
+Everything is float64 numpy. A net's parameters, its gradient and its Adam
+moments are vectors of one layout, whose layers are views (layer_views).
+Hidden layers use leaky ReLU (slope 0.01); the output head is linear or tanh
+scaled componentwise. Adam and the soft update work in place on whole vectors
+but keep the textbook's operations in their order: the plain formulas' bits.
 """
 
 from __future__ import annotations
@@ -20,18 +21,33 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def layer_views(sizes, flat):
+    """(weights, biases) of a net of sizes as views of the vector flat, laid
+    out w0, b0, w1, b1, ...: each weight an (out, in) matrix, each bias an
+    (out,) vector. The one place that knows the layout."""
+    weights, biases = [], []
+    start = 0
+    for n_in, n_out in zip(sizes, sizes[1:]):
+        weights.append(flat[start:start + n_out * n_in].reshape(n_out, n_in))
+        start += n_out * n_in
+        biases.append(flat[start:start + n_out])
+        start += n_out
+    return weights, biases
+
+
 class Mlp:
-    """Fully connected net. sizes = (n_in, h1, ..., n_out); weights are
-    (out, in) matrices, biases (out,) vectors, zero until initialized."""
+    """Fully connected net. sizes = (n_in, h1, ..., n_out); params is one
+    vector, zero until initialized, and weights and biases are its layer
+    views. Write parameters through the views, never rebind them."""
 
     def __init__(self, sizes, head_scale=None):
         sizes = tuple(int(s) for s in sizes)
         if len(sizes) < 2:
             raise ValueError("Mlp needs at least input and output sizes")
         self.sizes = sizes
-        self.weights = [np.zeros((sizes[i + 1], sizes[i])) for i in range(len(sizes) - 1)]
-        self.biases = [np.zeros(sizes[i + 1]) for i in range(len(sizes) - 1)]
-        self.head_scale = None if head_scale is None else np.asarray(head_scale, dtype=np.float64)
+        self.params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:])))
+        self.weights, self.biases = layer_views(sizes, self.params)
+        self.head_scale = None if head_scale is None else np.array(head_scale, dtype=np.float64)
         if self.head_scale is not None and self.head_scale.shape != (sizes[-1],):
             raise ValueError("head_scale must match the output width")
 
@@ -47,18 +63,17 @@ class Mlp:
 def gaussian_init(mlp: Mlp, rng: np.random.Generator, std: float = 1e-2):
     """Draw weights via the fan-scaled recipe, then renormalize every layer to
     the fixed target std (the shape-dependent factor cancels); biases zero."""
-    for i, w in enumerate(mlp.weights):
+    for w, b in zip(mlp.weights, mlp.biases):
         fan_out, fan_in = w.shape
         glorot = np.sqrt(2.0 / (fan_in + fan_out))
         draw = rng.normal(0.0, glorot, size=w.shape)
-        mlp.weights[i] = draw * (std / glorot)
-        mlp.biases[i] = np.zeros(fan_out)
+        np.multiply(draw, std / glorot, out=w)
+        b[:] = 0.0
 
 
 def clone(mlp: Mlp) -> Mlp:
-    out = Mlp(mlp.sizes, None if mlp.head_scale is None else mlp.head_scale.copy())
-    out.weights = [w.copy() for w in mlp.weights]
-    out.biases = [b.copy() for b in mlp.biases]
+    out = Mlp(mlp.sizes, mlp.head_scale)
+    out.params[:] = mlp.params
     return out
 
 
@@ -127,16 +142,18 @@ def _through_layer(mlp: Mlp, zs, i: int, g):
 def backward(mlp: Mlp, cache, grad_out):
     """Backprop grad_out (dL/dy) through the cached pass.
 
-    Returns the weight gradients only: a list of (dW, db) in layer order.
+    Returns the weight gradient only, one vector in the layout of params.
     input_grad gives dL/dx."""
     acts, zs, t = cache
     g = _head_grad(mlp, t, grad_out)
-    grads = [None] * len(mlp.weights)
-    for i in range(len(mlp.weights) - 1, -1, -1):
-        grads[i] = (g.T @ acts[i], g.sum(axis=0))
+    grad = np.empty_like(mlp.params)
+    dws, dbs = layer_views(mlp.sizes, grad)
+    for i in range(len(dws) - 1, -1, -1):
+        np.matmul(g.T, acts[i], out=dws[i])
+        g.sum(axis=0, out=dbs[i])
         if i > 0:
             g = _through_layer(mlp, zs, i, g)
-    return grads
+    return grad
 
 
 def input_grad(mlp: Mlp, cache, grad_out):
@@ -156,29 +173,24 @@ def softmax(x):
 
 
 class AdamState:
-    """Adam with bias correction, ADAM_BETA1/ADAM_BETA2/ADAM_EPS."""
+    """Adam with bias correction, ADAM_BETA1/ADAM_BETA2/ADAM_EPS. The
+    moments m and v are vectors in the layout of the net's params."""
 
     def __init__(self, mlp: Mlp, lr: float = 1e-3):
         self.lr = lr
         self.t = 0
-        self.m = [(np.zeros_like(w), np.zeros_like(b))
-                  for w, b in zip(mlp.weights, mlp.biases)]
-        self.v = [(np.zeros_like(w), np.zeros_like(b))
-                  for w, b in zip(mlp.weights, mlp.biases)]
+        self.sizes = mlp.sizes
+        self.m = np.zeros_like(mlp.params)
+        self.v = np.zeros_like(mlp.params)
 
-    def step(self, mlp: Mlp, grads):
+    def step(self, mlp: Mlp, g):
+        """One step on the gradient g (backward's vector): m = b1 m + (1 - b1) g;
+        v = b2 v + (1 - b2) g g; p -= lr (m / c1) / (sqrt(v / c2) + eps),
+        evaluated in that order through two temporaries."""
         self.t += 1
         c1 = 1.0 - ADAM_BETA1 ** self.t
         c2 = 1.0 - ADAM_BETA2 ** self.t
-        for i, (dw, db) in enumerate(grads):
-            (mw, mb), (vw, vb) = self.m[i], self.v[i]
-            self._move(mlp.weights[i], dw, mw, vw, c1, c2)
-            self._move(mlp.biases[i], db, mb, vb, c1, c2)
-
-    def _move(self, p, g, m, v, c1, c2):
-        """m = b1 m + (1 - b1) g; v = b2 v + (1 - b2) g g;
-        p -= lr (m / c1) / (sqrt(v / c2) + eps), evaluated in that order
-        through two temporaries."""
+        m, v = self.m, self.v
         m *= ADAM_BETA1
         num = np.multiply(g, 1.0 - ADAM_BETA1)
         m += num
@@ -192,65 +204,52 @@ class AdamState:
         np.sqrt(den, out=den)
         den += ADAM_EPS
         num /= den
-        p -= num
+        mlp.params -= num
 
 
 def soft_update(target: Mlp, source: Mlp, tau: float):
     """target <- tau * source + (1 - tau) * target, elementwise."""
     if target.sizes != source.sizes:
         raise ValueError("target/source shapes differ")
-    for tp, sp in zip(target.weights + target.biases, source.weights + source.biases):
-        blend = np.multiply(sp, tau)
-        tp *= 1.0 - tau
-        tp += blend
+    blend = np.multiply(source.params, tau)
+    target.params *= 1.0 - tau
+    target.params += blend
 
 
 # ---------------------------------------------------------------------------
-# flat array (de)serialization for checkpoints
+# checkpoints: one array per layer under fixed keys, views of the vectors
+
+def _layer_arrays(sizes, flats: dict) -> dict:
+    """{stem + "w0": view, stem + "b0": view, ...}, layer by layer: the checkpoints' order."""
+    views = {stem: layer_views(sizes, flat) for stem, flat in flats.items()}
+    out = {}
+    for i in range(len(sizes) - 1):
+        for stem, (weights, biases) in views.items():
+            out[f"{stem}w{i}"], out[f"{stem}b{i}"] = weights[i], biases[i]
+    return out
+
 
 def mlp_state(mlp: Mlp, prefix: str) -> dict:
-    out = {}
-    for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
-        out[f"{prefix}.w{i}"] = w
-        out[f"{prefix}.b{i}"] = b
+    """The net's checkpoint arrays by key (prefix.w0, prefix.b0, ...,
+    prefix.scale), views of the net: load_state writes into them."""
+    out = _layer_arrays(mlp.sizes, {f"{prefix}.": mlp.params})
     if mlp.head_scale is not None:
         out[f"{prefix}.scale"] = mlp.head_scale
     return out
 
 
-def mlp_from_state(data, prefix: str) -> Mlp:
-    weights = []
-    i = 0
-    while f"{prefix}.w{i}" in data:
-        weights.append(np.asarray(data[f"{prefix}.w{i}"], dtype=np.float64))
-        i += 1
-    if not weights:
-        raise ValueError(f"no layers stored under {prefix!r}")
-    sizes = [weights[0].shape[1]] + [w.shape[0] for w in weights]
-    scale = data[f"{prefix}.scale"] if f"{prefix}.scale" in data else None
-    mlp = Mlp(sizes, scale)
-    mlp.weights = [w.copy() for w in weights]
-    mlp.biases = [np.asarray(data[f"{prefix}.b{i}"], dtype=np.float64).copy()
-                  for i in range(len(weights))]
-    return mlp
-
-
 def adam_state(adam: AdamState, prefix: str) -> dict:
-    out = {f"{prefix}.t": np.array(adam.t)}
-    for i, ((mw, mb), (vw, vb)) in enumerate(zip(adam.m, adam.v)):
-        out[f"{prefix}.mw{i}"] = mw
-        out[f"{prefix}.mb{i}"] = mb
-        out[f"{prefix}.vw{i}"] = vw
-        out[f"{prefix}.vb{i}"] = vb
-    return out
+    """The moments' checkpoint arrays by key (prefix.mw0, prefix.mb0,
+    prefix.vw0, ...), views of m and v, and a copy of the step count t."""
+    return {f"{prefix}.t": np.array(adam.t),
+            **_layer_arrays(adam.sizes, {f"{prefix}.m": adam.m, f"{prefix}.v": adam.v})}
 
 
-def adam_from_state(data, prefix: str, mlp: Mlp, lr: float) -> AdamState:
-    adam = AdamState(mlp, lr=lr)
-    adam.t = int(data[f"{prefix}.t"])
-    for i in range(len(mlp.weights)):
-        adam.m[i] = (np.asarray(data[f"{prefix}.mw{i}"]).copy(),
-                     np.asarray(data[f"{prefix}.mb{i}"]).copy())
-        adam.v[i] = (np.asarray(data[f"{prefix}.vw{i}"]).copy(),
-                     np.asarray(data[f"{prefix}.vb{i}"]).copy())
-    return adam
+def load_state(data, arrays: dict):
+    """Copy the checkpoint array under each key of arrays (mlp_state's or
+    adam_state's) into the array there; a stored shape must match."""
+    for key, arr in arrays.items():
+        stored = np.asarray(data[key])
+        if stored.shape != arr.shape:
+            raise ValueError(f"{key}: stored shape {stored.shape}, expected {arr.shape}")
+        arr[...] = stored

@@ -114,8 +114,7 @@ def ascend_param_actor(actor: nn.Mlp, adam: nn.AdamState, critic: nn.Mlp,
     gout = np.full((b, 1), 1.0 / b)
     gin = nn.input_grad(critic, cache_c, gout)
     gp = gin[:, xp.shape[1]:] / param_scale
-    grads = nn.backward(actor, cache_a, -gp)
-    adam.step(actor, grads)
+    adam.step(actor, nn.backward(actor, cache_a, -gp))
     return p
 
 
@@ -125,8 +124,7 @@ def regress_critic(net: nn.Mlp, adam: nn.AdamState, x: np.ndarray, y: np.ndarray
     q, cache = nn.forward_cached(net, x)
     resid = q[:, 0] - y
     loss = float(np.mean(resid * resid))
-    grads = nn.backward(net, cache, (2.0 / x.shape[0]) * resid[:, None])
-    adam.step(net, grads)
+    adam.step(net, nn.backward(net, cache, (2.0 / x.shape[0]) * resid[:, None]))
     return loss
 
 
@@ -313,10 +311,11 @@ class LearnerBase:
             agent = cls(meta["state_dim"], meta["n_targets"], scale,
                         cls._CONFIG(**meta["cfg"]), seed=seed)
             for name in cls._NETS:
-                setattr(agent, name, nn.mlp_from_state(data, name))
-            for name, net in cls._ADAMS.items():
-                setattr(agent, name, nn.adam_from_state(data, name, getattr(agent, net),
-                                                        agent.cfg.lr))
+                nn.load_state(data, nn.mlp_state(getattr(agent, name), name))
+            for name in cls._ADAMS:
+                adam = getattr(agent, name)
+                nn.load_state(data, nn.adam_state(adam, name))
+                adam.t = int(data[f"{name}.t"])
             agent.updates = int(meta["updates"])
         return agent
 
@@ -381,16 +380,13 @@ class PatAgent(LearnerBase):
         gin = nn.input_grad(self.critic_1, cache_c, gout)
         ga = gin[:, self.state_dim:self.state_dim + self.n_targets]
         gscores = soft * (ga - (ga * soft).sum(axis=1, keepdims=True))
-        grads = nn.backward(self.actor_action, cache_a, -gscores)
-        self.adam_actor_action.step(self.actor_action, grads)
+        self.adam_actor_action.step(self.actor_action,
+                                    nn.backward(self.actor_action, cache_a, -gscores))
 
     def _update(self, batch) -> dict:
         y, _ = self.compute_targets(batch)
         l1, l2 = self.update_critics(batch, y)
         self.update_actors(batch)
-        for target, live in ((self.t_actor_action, self.actor_action),
-                             (self.t_actor_param, self.actor_param),
-                             (self.t_critic_1, self.critic_1),
-                             (self.t_critic_2, self.critic_2)):
-            nn.soft_update(target, live, self.cfg.tau)
+        for live in self._ADAMS.values():
+            nn.soft_update(getattr(self, "t_" + live), getattr(self, live), self.cfg.tau)
         return {"critic_loss_1": l1, "critic_loss_2": l2}

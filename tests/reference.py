@@ -172,14 +172,26 @@ def backward_reference(mlp, cache, grad_out):
     return grads, g
 
 
-def adam_step_reference(adam, mlp, grads):
-    """One Adam step on adam's moments and mlp's parameters."""
+def backward_flat_reference(mlp, cache, grad_out):
+    """backward_reference's weight gradients as one vector in params' layout."""
+    grads, _ = backward_reference(mlp, cache, grad_out)
+    return np.concatenate([g.ravel() for pair in grads for g in pair])
+
+
+def input_grad_reference(mlp, cache, grad_out):
+    return backward_reference(mlp, cache, grad_out)[1]
+
+
+def adam_step_reference(adam, mlp, grad):
+    """One Adam step on adam's moments and mlp's parameters, layer by layer
+    on the layer views of the gradient vector grad and of the moments."""
     adam.t += 1
     c1 = 1.0 - ADAM_BETA1 ** adam.t
     c2 = 1.0 - ADAM_BETA2 ** adam.t
-    for i, (dw, db) in enumerate(grads):
-        mw, mb = adam.m[i]
-        vw, vb = adam.v[i]
+    dws, dbs = nn.layer_views(mlp.sizes, grad)
+    mws, mbs = nn.layer_views(mlp.sizes, adam.m)
+    vws, vbs = nn.layer_views(mlp.sizes, adam.v)
+    for i, (dw, db, mw, mb, vw, vb) in enumerate(zip(dws, dbs, mws, mbs, vws, vbs)):
         mw *= ADAM_BETA1
         mw += (1.0 - ADAM_BETA1) * dw
         mb *= ADAM_BETA1

@@ -84,7 +84,7 @@ def _probe_net(net, rng, n_param_probes, n_input_probes, h=1e-5):
     x = rng.normal(0, 1, (5, net.n_in))
     gout = rng.normal(0, 1, (5, net.n_out))
     _, cache = nn.forward_cached(net, x)
-    grads = nn.backward(net, cache, gout)
+    dws, dbs = nn.layer_views(net.sizes, nn.backward(net, cache, gout))
     gin = nn.input_grad(net, cache, gout)
 
     def objective():
@@ -96,11 +96,11 @@ def _probe_net(net, rng, n_param_probes, n_input_probes, h=1e-5):
         if rng.random() < 0.75:
             arr = net.weights[layer]
             idx = (int(rng.integers(arr.shape[0])), int(rng.integers(arr.shape[1])))
-            got = grads[layer][0][idx]
+            got = dws[layer][idx]
         else:
             arr = net.biases[layer]
             idx = int(rng.integers(arr.shape[0]))
-            got = grads[layer][1][idx]
+            got = dbs[layer][idx]
         old = arr[idx]
         arr[idx] = old + h
         up = objective()

@@ -469,6 +469,27 @@ class TestCli:
         assert cli.main(["validate-config", "--config", self.write_cfg(tmp_path, seed=None)]) == 0
         assert capsys.readouterr().out == "ok\n"
 
+    @pytest.mark.parametrize("section, key, value, what", [
+        ("run", "checkpoint_path", 5, "strings or null"), ("pool", "rho_max", True, "numbers"),
+        ("agent", "lr", True, "numbers"), ("costs", "w1", "2", "numbers")])
+    def test_keys_take_only_the_json_values_of_their_type(self, tmp_path, capsys,
+                                                          section, key, value, what):
+        doc = desk_doc(total_epochs=2, eval_epochs=1)
+        doc.setdefault(section, {})[key] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        assert cli.main(["validate-config", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {section}: {key} takes {what}, ")
+
+    def test_exported_defaults_validate(self, tmp_path, capsys):
+        """The shipped catalogue writes integers into float fields; they validate."""
+        assert cli.main(["export-defaults"]) == 0
+        path = tmp_path / "defaults.json"
+        path.write_text(capsys.readouterr().out)
+        assert type(json.loads(path.read_text())["vnfs"][0]["c0"]) is int
+        assert cli.main(["validate-config", "--config", str(path)]) == 0
+        assert capsys.readouterr().out == "ok\n"
+
     def test_eval_writes_csv(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, agent={"kind": "cloud"})
         out = tmp_path / "out"

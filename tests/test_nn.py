@@ -21,6 +21,14 @@ class TestInit:
             assert w.std() == pytest.approx(1e-2, rel=0.10)
             assert (b == 0).all()
 
+    def test_layers_are_views_of_one_vector(self):
+        """params holds w0, b0, w1, b1 in order; writing a layer writes params."""
+        net = build((3, 4, 2), seed=2)
+        (w0, w1), (b0, b1) = net.weights, net.biases
+        assert same_bits(np.concatenate([w0.ravel(), b0, w1.ravel(), b1]), net.params)
+        net.biases[1][1] = 7.0
+        assert net.params[-1] == 7.0
+
     def test_targets_start_as_exact_copies(self):
         net = build((10, 128, 64, 2), seed=2)
         tgt = nn.clone(net)
@@ -87,7 +95,7 @@ def check_gradients(net, rng, probes):
     x = rng.normal(0, 1.0, (4, net.n_in))
     gout = rng.normal(0, 1.0, (4, net.n_out))
     _, cache = nn.forward_cached(net, x)
-    grads = nn.backward(net, cache, gout)
+    dws, dbs = nn.layer_views(net.sizes, nn.backward(net, cache, gout))
     gin = nn.input_grad(net, cache, gout)
     for _ in range(probes):
         layer = int(rng.integers(len(net.weights)))
@@ -95,10 +103,10 @@ def check_gradients(net, rng, probes):
         if which == "w":
             idx = (int(rng.integers(net.weights[layer].shape[0])),
                    int(rng.integers(net.weights[layer].shape[1])))
-            got = grads[layer][0][idx]
+            got = dws[layer][idx]
         else:
             idx = int(rng.integers(net.biases[layer].shape[0]))
-            got = grads[layer][1][idx]
+            got = dbs[layer][idx]
         want = numeric_param_grad(net, x, gout, layer, which, idx)
         err = abs(got - want) / max(abs(got), abs(want), 1e-7)
         assert err < 1e-4, (layer, which, idx, got, want)
@@ -137,7 +145,7 @@ class TestAdam:
         net = nn.Mlp((1, 1))
         net.weights[0][0, 0] = 1.0
         adam = nn.AdamState(net, lr=1e-3)
-        adam.step(net, [(np.array([[1.0]]), np.array([0.0]))])
+        adam.step(net, np.array([1.0, 0.0]))  # w0, b0
         # bias-corrected m=v=1 on the first step, so the move is lr/(1+eps)
         assert net.weights[0][0, 0] == pytest.approx(1.0 - 1e-3 / (1.0 + nn.ADAM_EPS), abs=1e-9)
 
@@ -145,9 +153,7 @@ class TestAdam:
         net = build((3, 8, 2), seed=26)
         adam = nn.AdamState(net, lr=1e-3)
         before = [w.copy() for w in net.weights]
-        zeros = [(np.zeros_like(w), np.zeros_like(b))
-                 for w, b in zip(net.weights, net.biases)]
-        adam.step(net, zeros)
+        adam.step(net, np.zeros_like(net.params))
         for w0, w1 in zip(before, net.weights):
             assert (w0 == w1).all()
 
@@ -206,16 +212,25 @@ class TestSerialization:
         net = build((6, 16, 8, 2), head_scale=(50.0, 25.0), seed=32)
         path = tmp_path / "net.npz"
         np.savez(path, **nn.mlp_state(net, "net"))
+        again = nn.Mlp(net.sizes, head_scale=(1.0, 1.0))
         with np.load(path) as data:
-            again = nn.mlp_from_state(data, "net")
-        assert again.sizes == net.sizes
+            assert set(data.files) == {f"net.{key}" for key in
+                                       ("w0", "b0", "w1", "b1", "w2", "b2", "scale")}
+            nn.load_state(data, nn.mlp_state(again, "net"))
         assert (again.head_scale == net.head_scale).all()
+        assert same_bits(again.params, net.params)
         for w0, w1 in zip(net.weights, again.weights):
             assert (w0 == w1).all()
         for b0, b1 in zip(net.biases, again.biases):
             assert (b0 == b1).all()
         x = np.ones(6)
         assert (nn.forward(net, x) == nn.forward(again, x)).all()
+
+    def test_load_refuses_another_shape(self, tmp_path):
+        path = tmp_path / "net.npz"
+        np.savez(path, **nn.mlp_state(build((6, 16, 8, 2), seed=33), "net"))
+        with np.load(path) as data, pytest.raises(ValueError, match=r"net\.w0"):
+            nn.load_state(data, nn.mlp_state(nn.Mlp((7, 16, 8, 2)), "net"))
 
 
 def same_bits(a, b) -> bool:
@@ -271,7 +286,8 @@ class TestMatchesPlainFormulas:
         y_ref, cache_ref = reference.forward_cached_reference(net, x)
         assert same_bits(y, y_ref)
         grads_ref, gin_ref = reference.backward_reference(net, cache_ref, gout)
-        for (dw, db), (dw_ref, db_ref) in zip(nn.backward(net, cache, gout), grads_ref):
+        dws, dbs = nn.layer_views(net.sizes, nn.backward(net, cache, gout))
+        for dw, db, (dw_ref, db_ref) in zip(dws, dbs, grads_ref):
             assert same_bits(dw, dw_ref) and same_bits(db, db_ref)
         assert same_bits(nn.input_grad(net, cache, gout), gin_ref)
 
@@ -284,10 +300,9 @@ class TestMatchesPlainFormulas:
         target_ref = nn.clone(target)
         rng = np.random.default_rng(45)
         for _ in range(5):
-            grads = [(rng.normal(0, 1, w.shape), rng.normal(0, 1, b.shape))
-                     for w, b in zip(net.weights, net.biases)]
-            adam.step(net, grads)
-            reference.adam_step_reference(adam_ref, net_ref, grads)
+            grad = rng.normal(0, 1, net.params.shape)
+            adam.step(net, grad)
+            reference.adam_step_reference(adam_ref, net_ref, grad)
             nn.soft_update(target, net, 5e-3)
             reference.soft_update_reference(target_ref, net_ref, 5e-3)
         pairs = [(net, net_ref), (target, target_ref)]
@@ -295,8 +310,7 @@ class TestMatchesPlainFormulas:
             for p, q in zip(a.weights + a.biases, b.weights + b.biases):
                 assert same_bits(p, q)
         assert adam.t == adam_ref.t == 5
-        for (m, mb), (m_ref, mb_ref) in zip(adam.m + adam.v, adam_ref.m + adam_ref.v):
-            assert same_bits(m, m_ref) and same_bits(mb, mb_ref)
+        assert same_bits(adam.m, adam_ref.m) and same_bits(adam.v, adam_ref.v)
 
 
 def edge_rows(n_in, rng):

@@ -438,17 +438,41 @@ class TestCheckpoint:
         for name, net in agent._ADAMS.items():
             a, b = getattr(agent, name), getattr(again, name)
             assert a.t == b.t > 0
-            assert [mw.shape for mw, _ in b.m] == [w.shape for w in getattr(again, net).weights]
-            for (mw0, mb0), (mw1, mb1) in zip(a.m, b.m):
-                assert (mw0 == mw1).all() and (mb0 == mb1).all()
-            for (vw0, vb0), (vw1, vb1) in zip(a.v, b.v):
-                assert (vw0 == vw1).all() and (vb0 == vb1).all()
+            sizes = getattr(again, net).sizes
+            assert b.m.shape == b.v.shape == getattr(again, net).params.shape
+            for flat, flat_again in ((a.m, b.m), (a.v, b.v)):
+                ws, bs = nn.layer_views(sizes, flat)
+                ws_again, bs_again = nn.layer_views(sizes, flat_again)
+                for w0, w1 in zip(ws + bs, ws_again + bs_again):
+                    assert (w0 == w1).all()
         agent.set_eval(True)
         again.set_eval(True)
         rng = np.random.default_rng(37)
         for _ in range(20):
             feats = rng.normal(0, 1, STATE_DIM)
             assert agent.select(feats) == again.select(feats)
+
+    @pytest.mark.parametrize("kind", ["pat", "ddqn", "ddpg"])
+    def test_loaded_learner_trains_on_to_the_same_bits(self, tmp_path, kind):
+        """A learner loaded from a checkpoint, given the saver's replay contents
+        and rng state, makes the saver's next updates to the bit: every net's
+        parameters and both moments of every optimizer."""
+        agent = make_learner(kind, seed=38)
+        fill_buffer(agent, np.random.default_rng(39), 16)
+        for _ in range(5):
+            agent.train_step()
+        again = type(agent).load(agent.save(tmp_path / "agent"))
+        fill_buffer(again, np.random.default_rng(39), 16)
+        again.rng.bit_generator.state = agent.rng.bit_generator.state
+        for _ in range(5):
+            agent.train_step()
+            again.train_step()
+        assert again.updates == agent.updates == 10
+        for name in agent._NETS:
+            assert getattr(again, name).params.tobytes() == getattr(agent, name).params.tobytes()
+        for name in agent._ADAMS:
+            a, b = getattr(agent, name), getattr(again, name)
+            assert (a.t, a.m.tobytes(), a.v.tobytes()) == (b.t, b.m.tobytes(), b.v.tobytes())
 
     @pytest.mark.parametrize("box", [SCALE, (52.0, 47.0)])
     def test_ddqn_checkpoint_with_lattice_meta_loads(self, tmp_path, box):
@@ -530,8 +554,9 @@ def action_bits(action: ParamAction):
 
 
 class TestFirstFormulas:
-    """The cacheless forward and the float-scalar actor step against the
-    decision formulas as first written (tests/reference.py), bit for bit."""
+    """The cacheless forward, the float-scalar actor step and the flat
+    learner update against the formulas as first written
+    (tests/reference.py), bit for bit."""
 
     @pytest.mark.parametrize("clip_c", [0.5, 0.0])
     def test_actor_step_equals_the_array_form_bitwise(self, clip_c):
@@ -579,7 +604,8 @@ class TestFirstFormulas:
     def test_train_outputs_equal_those_of_the_first_formulas(self, kind, tmp_path, monkeypatch):
         """A desk-scale train run past the warm-up (both phases of a pair)
         writes the same metrics.csv, summary.json and checkpoint bytes with
-        the first formulas patched in."""
+        the first formulas patched in: the decisions, and the update's
+        passes, Adam steps and soft updates layer by layer."""
         doc = {"pool": {"k_servers": 3, "n_vnfs": 3},
                "agent": {"kind": kind, "warmup_size": 300, "batch_size": 32},
                "run": {"seed": 11, "total_epochs": 150, "eval_epochs": 20}}
@@ -595,6 +621,11 @@ class TestFirstFormulas:
         got = train(tmp_path / "now")
         monkeypatch.setattr(nn, "forward", reference.forward_reference)
         monkeypatch.setattr(LearnerBase, "_actor_step", reference.actor_step_reference)
+        monkeypatch.setattr(nn, "forward_cached", reference.forward_cached_reference)
+        monkeypatch.setattr(nn, "backward", reference.backward_flat_reference)
+        monkeypatch.setattr(nn, "input_grad", reference.input_grad_reference)
+        monkeypatch.setattr(nn.AdamState, "step", reference.adam_step_reference)
+        monkeypatch.setattr(nn, "soft_update", reference.soft_update_reference)
         want = train(tmp_path / "first")
         assert got == want
         rows = got[0].decode().splitlines()
