@@ -69,34 +69,85 @@ class PatConfig:
 
 class ReplayBuffer:
     """Fixed-capacity ring with uniform with-replacement sampling of (state,
-    action index, (d_cpu, d_mem), reward = -training cost, next state)."""
+    action index, (d_cpu, d_mem), reward = -training cost, next state).
+
+    Each state is stored once. Row i's next state is read back as the state
+    of row (i + 1) % capacity with the two entries of the row's patch
+    written over it, which holds when the two differ in at most two entries:
+    within an epoch they differ only in the one-hot request slot. Any other
+    next state, in practice one per epoch end, is kept whole in a second
+    ring, the second half of the row table, written in order so its pages
+    are touched only as it fills; its patch rewrites its own first entry.
+    A row's link names the row its next state is read from, so one gather
+    reads both kinds. Both rings are FIFO, so a whole row is overwritten
+    only after the row that reads it. The newest row's next state waits in
+    a kept buffer until the following add compares it with the following
+    state by bit pattern (so -0.0 and NaN round-trip); sample keeps it
+    whole if none came."""
 
     def __init__(self, capacity: int, state_dim: int):
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim))
-        self.actions = np.zeros(capacity, dtype=np.int64)
-        self.params = np.zeros((capacity, 2))
-        self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_dim))
+        self.rows = np.zeros((2 * capacity, state_dim))  # states, then whole next states
+        self.states = self.rows[:capacity]
+        # the per-row arrays below are written before any read of their row,
+        # so they are left unzeroed: zeroing reused heap memory touches it all
+        self.actions = np.empty(capacity, dtype=np.int64)
+        self.params = np.empty((capacity, 2))
+        self.rewards = np.empty(capacity)
+        # where each row's next state is read: the row of self.rows, then the
+        # patch's two positions and the bits of their two values
+        self.links = np.empty((capacity, 5), dtype=np.int64)
+        self.whole_cursor = 0
+        self._pending = False
+        self._next = np.empty(state_dim)  # the newest row's next state while pending
+        self._next_bits = self._next.view(np.int64)
+        self._state_bits = self.states.view(np.int64)
         self.size = 0
         self.cursor = 0
+
+    def _settle(self, following_bits=None):
+        """Link the newest row's next state to the state of the row after it,
+        given as its bits, with a patch; or keep it whole when it is not that
+        state with at most two entries changed (or there is no following state)."""
+        row = (self.cursor - 1) % self.capacity
+        bits = self._next_bits
+        diff = None if following_bits is None else \
+            (bits != following_bits).nonzero()[0].tolist()
+        if diff is not None and len(diff) <= 2:
+            p, q = (diff * 2 or [0, 0])[:2]  # padded by repeats
+            self.links[row] = self.cursor, p, q, bits[p], bits[q]
+        else:
+            w = self.capacity + self.whole_cursor
+            self.rows[w] = self._next
+            self.links[row] = w, 0, 0, bits[0], bits[0]
+            self.whole_cursor = (self.whole_cursor + 1) % self.capacity
+        self._pending = False
 
     def add(self, state, action_index: int, params, reward: float, next_state):
         i = self.cursor
         self.states[i] = state
+        if self._pending:
+            self._settle(self._state_bits[i])
         self.actions[i] = action_index
         self.params[i] = params
         self.rewards[i] = reward
-        self.next_states[i] = next_state
+        self._next[:] = next_state
+        self._pending = True
         self.cursor = (i + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
     def sample(self, batch_size: int, rng: np.random.Generator):
         if self.size == 0:
             raise ValueError("cannot sample from an empty buffer")
+        if self._pending:
+            self._settle()
         idx = rng.integers(0, self.size, size=batch_size)
-        return (self.states[idx], self.actions[idx], self.params[idx],
-                self.rewards[idx], self.next_states[idx])
+        links = np.take(self.links, idx, axis=0)
+        next_states = np.take(self.rows, links[:, 0], axis=0)
+        starts = np.arange(batch_size)[:, None] * self.rows.shape[1]  # flat, per batch row
+        np.put(next_states.view(np.int64), starts + links[:, 1:3], links[:, 3:])
+        return (np.take(self.states, idx, axis=0), np.take(self.actions, idx),
+                np.take(self.params, idx, axis=0), np.take(self.rewards, idx), next_states)
 
 
 def ascend_param_actor(actor: nn.Mlp, adam: nn.AdamState, critic: nn.Mlp,

@@ -1,7 +1,8 @@
 """Independent references for the cost-model tests and the random inputs
 they are checked on, the plain formulas the in-place nn code must
-reproduce bit for bit, and the learners' batch-1 decision formulas as first
-written, which their float-scalar forms must reproduce bit for bit.
+reproduce bit for bit, the learners' batch-1 decision formulas as first
+written, which their float-scalar forms must reproduce bit for bit, and the
+replay ring as first written, with every next state stored whole.
 
 The figures come from perfbench/oracle.py: the benchmark's scalar cost
 oracle, written from the model's definition without importing
@@ -240,3 +241,37 @@ def actor_step_reference(agent, actor, s, a, explore):
         p = p + agent._clipped_noise(2)
     p = np.clip(p, -agent.scale, agent.scale)
     return ParamAction(a, float(p[0]), float(p[1]))
+
+
+# ---------------------------------------------------------------------------
+# the replay ring as first written: two state-wide arrays, one for the states
+# and one for the next states, gathered by fancy indexing
+
+
+class ReplayBufferReference:
+    def __init__(self, capacity: int, state_dim: int):
+        self.capacity = capacity
+        self.states = np.zeros((capacity, state_dim))
+        self.actions = np.zeros(capacity, dtype=np.int64)
+        self.params = np.zeros((capacity, 2))
+        self.rewards = np.zeros(capacity)
+        self.next_states = np.zeros((capacity, state_dim))
+        self.size = 0
+        self.cursor = 0
+
+    def add(self, state, action_index: int, params, reward: float, next_state):
+        i = self.cursor
+        self.states[i] = state
+        self.actions[i] = action_index
+        self.params[i] = params
+        self.rewards[i] = reward
+        self.next_states[i] = next_state
+        self.cursor = (i + 1) % self.capacity
+        self.size = min(self.size + 1, self.capacity)
+
+    def sample(self, batch_size: int, rng: np.random.Generator):
+        if self.size == 0:
+            raise ValueError("cannot sample from an empty buffer")
+        idx = rng.integers(0, self.size, size=batch_size)
+        return (self.states[idx], self.actions[idx], self.params[idx],
+                self.rewards[idx], self.next_states[idx])

@@ -5,9 +5,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import reference
-from vnf_lab import cli, nn
+from vnf_lab import cli, harness, nn, pat
 from reference import one_hot
 from vnf_lab.baselines import BaselineRlConfig, DdpgPairAgent, DdqnPairAgent
 from vnf_lab.env import ParamAction
@@ -48,6 +49,40 @@ def energize(net, rng, std=0.3):
         b[:] = rng.normal(0, std, b.shape)
 
 
+REPLAY_DIM = 6
+# entries that collide often; -0.0 against 0.0 and two NaN payloads differ only in bits
+REPLAY_VALUES = [0.0, -0.0, 1.0, np.nan, struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000123))[0]]
+
+
+@st.composite
+def replay_scripts(draw):
+    """A capacity of 5-7 and up to 40 adds and samples. Each added next state
+    is the following added state with 0, 1, 2, 3 or all entries changed,
+    changes that flip a sign bit (0.0 to -0.0, one NaN to another) among
+    them; the last one has no following state."""
+    capacity = draw(st.integers(5, 7))
+    n = draw(st.integers(1, 40))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    states = rng.choice(REPLAY_VALUES, (n + 1, REPLAY_DIM))
+    ops = []
+    for t in range(n):
+        next_state = states[t + 1].copy()
+        k = draw(st.sampled_from([0, 1, 2, 3, REPLAY_DIM]))
+        for pos in rng.choice(REPLAY_DIM, k, replace=False):
+            bits = next_state[pos:pos + 1].view(np.int64)
+            if draw(st.booleans()):
+                bits ^= np.int64(-2**63)  # the sign bit
+            else:
+                bits[0] = np.float64(rng.normal()).view(np.int64)
+        ops.append(("add", states[t].copy(), int(rng.integers(4)), rng.normal(0, 1, 2),
+                    float(rng.normal()), next_state))
+        if draw(st.booleans()):
+            ops.append(("sample", draw(st.integers(1, capacity))))
+    ops.append(("sample", capacity))
+    return capacity, ops, seed
+
+
 class TestReplayBuffer:
     def test_ring_eviction(self):
         buf = ReplayBuffer(4, 2)
@@ -68,6 +103,58 @@ class TestReplayBuffer:
     def test_empty_buffer_rejects_sampling(self):
         with pytest.raises(ValueError):
             ReplayBuffer(4, 2).sample(1, np.random.default_rng(0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(replay_scripts())
+    def test_samples_equal_the_two_array_ring_bitwise(self, script):
+        """Next states that differ from the following state in 0, 1, 2 or
+        more entries, signed zeros and NaNs among them, in rings of 5-7 rows
+        that wrap, sampled at any point, even straight after an add, by a
+        caller that reuses its next_state array: every sampled array and
+        the rng state equal those of the ring as first written."""
+        capacity, ops, seed = script
+        got = ReplayBuffer(capacity, REPLAY_DIM)
+        want = reference.ReplayBufferReference(capacity, REPLAY_DIM)
+        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+        for op in ops:
+            if op[0] == "sample":
+                for g, w in zip(got.sample(op[1], rng_got), want.sample(op[1], rng_want)):
+                    assert g.dtype == w.dtype
+                    assert (g.view(np.int64) == w.view(np.int64)).all()
+            else:
+                _, state, action, params, reward, next_state = op
+                for ring in (got, want):
+                    ring.add(state, action, params, reward, next_state)
+                next_state[:] = 7.0  # the caller reuses its array
+            assert got.size == want.size and got.cursor == want.cursor
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    def test_desk_training_keeps_whole_rows_only_at_epoch_ends(self):
+        """The memory claim by count: over a desk train, the only next states
+        kept whole are the epochs' last, and at least 85 % of the stored
+        transitions are patched onto the state that follows them."""
+        epochs = 200
+        doc = {"pool": {"k_servers": 3, "n_vnfs": 3},
+               "agent": {"kind": "pat", "warmup_size": 300, "batch_size": 32},
+               "run": {"seed": 11}}
+        cfg = harness.config_from_dict(doc)
+        env = harness.build_env(cfg, 11)
+        agent = harness.build_agent(cfg, env, 11)
+        ends, advance = [], env.advance_epoch
+
+        def counted(policy):
+            summary = advance(policy)
+            ends.append(agent.buffer.size + len(summary.records) - 1)
+            return summary
+
+        env.advance_epoch = counted
+        harness._drive(env, agent, epochs, learner=True)
+        buf = agent.buffer
+        assert agent.updates > 0 and buf.size < buf.capacity  # sampled, not wrapped
+        whole = np.flatnonzero(buf.links[:buf.size, 0] >= buf.capacity)
+        assert len(whole) == buf.whole_cursor <= epochs
+        assert set(whole.tolist()) <= set(ends)
+        assert 1 - len(whole) / buf.size >= 0.85
 
 
 class TestSelect:
@@ -604,10 +691,13 @@ class TestFirstFormulas:
     def test_train_outputs_equal_those_of_the_first_formulas(self, kind, tmp_path, monkeypatch):
         """A desk-scale train run past the warm-up (both phases of a pair)
         writes the same metrics.csv, summary.json and checkpoint bytes with
-        the first formulas patched in: the decisions, and the update's
-        passes, Adam steps and soft updates layer by layer."""
+        the first formulas patched in: the decisions, the update's passes,
+        Adam steps and soft updates layer by layer, and the replay ring
+        with whole next states, which the run's 1.3k transitions wrap four
+        times."""
         doc = {"pool": {"k_servers": 3, "n_vnfs": 3},
-               "agent": {"kind": kind, "warmup_size": 300, "batch_size": 32},
+               "agent": {"kind": kind, "warmup_size": 300, "batch_size": 32,
+                         "buffer_capacity": 320},
                "run": {"seed": 11, "total_epochs": 150, "eval_epochs": 20}}
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))
@@ -626,6 +716,7 @@ class TestFirstFormulas:
         monkeypatch.setattr(nn, "input_grad", reference.input_grad_reference)
         monkeypatch.setattr(nn.AdamState, "step", reference.adam_step_reference)
         monkeypatch.setattr(nn, "soft_update", reference.soft_update_reference)
+        monkeypatch.setattr(pat, "ReplayBuffer", reference.ReplayBufferReference)
         want = train(tmp_path / "first")
         assert got == want
         rows = got[0].decode().splitlines()
