@@ -126,8 +126,6 @@ class ParamAction:
 class StepOutcome:
     cost_psi: float
     infeasible: bool
-    instance_cost: float
-    network_cost: float
     next_state_features: np.ndarray
 
 
@@ -526,7 +524,7 @@ class VnfEnv:
         psi = 1.0 if infeasible else agent_cost(ic, nc, self.beta, self.gamma_max)
         self._features = self._moved_request(features, vnf)
         self._patch_features(self._features, where, vnf)
-        return StepOutcome(psi, infeasible, ic, nc, self._features)
+        return StepOutcome(psi, infeasible, self._features)
 
     def advance_epoch(self, policy, keep_snapshot: bool = False) -> EpochSummary:
         """Run one slot: sample traffic, serve every request (idle VNFs get a

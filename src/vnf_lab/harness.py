@@ -62,6 +62,8 @@ class RunConfig:
     smoothing_window: int = 100
 
     def __post_init__(self):
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("run.seed must be >= 0 or null")
         if self.total_epochs < 1 or self.eval_epochs < 0:
             raise ValueError("run.total_epochs must be >= 1 and run.eval_epochs >= 0")
         if self.metrics_every < 1 or self.smoothing_window < 1:
@@ -197,18 +199,23 @@ def export_defaults() -> str:
 
 
 def resolve_seed(cfg: ExperimentConfig, cli_seed: int | None = None) -> int:
-    """Priority: explicit argument, config value, environment fallback, zero."""
+    """Priority: explicit argument, config value, environment fallback, zero.
+    A seed is >= 0; a negative one is refused naming where it came from."""
     if cli_seed is not None:
-        return int(cli_seed)
-    if cfg.run.seed is not None:
-        return int(cfg.run.seed)
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is not None:
+        seed, source = int(cli_seed), "--seed"
+    elif cfg.run.seed is not None:
+        seed, source = int(cfg.run.seed), "run.seed"
+    else:
+        env = os.environ.get(SEED_ENV_VAR)
+        if env is None:
+            return 0
         try:
-            return int(env)
+            seed, source = int(env), SEED_ENV_VAR
         except ValueError as exc:
             raise ConfigError(f"{SEED_ENV_VAR}: not an integer ({env!r})") from exc
-    return 0
+    if seed < 0:
+        raise ConfigError(f"{source}: a seed must be >= 0, not {seed}")
+    return seed
 
 
 # ---------------------------------------------------------------------------

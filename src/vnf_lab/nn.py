@@ -247,8 +247,10 @@ def adam_state(adam: AdamState, prefix: str) -> dict:
 
 def load_state(data, arrays: dict):
     """Copy the checkpoint array under each key of arrays (mlp_state's or
-    adam_state's) into the array there; a stored shape must match."""
+    adam_state's) into the array there; each key must be stored, in its shape."""
     for key, arr in arrays.items():
+        if key not in data:
+            raise ValueError(f"{key}: not in the checkpoint")
         stored = np.asarray(data[key])
         if stored.shape != arr.shape:
             raise ValueError(f"{key}: stored shape {stored.shape}, expected {arr.shape}")

@@ -71,19 +71,16 @@ class ReplayBuffer:
     """Fixed-capacity ring with uniform with-replacement sampling of (state,
     action index, (d_cpu, d_mem), reward = -training cost, next state).
 
-    Each state is stored once. Row i's next state is read back as the state
-    of row (i + 1) % capacity with the two entries of the row's patch
-    written over it, which holds when the two differ in at most two entries:
-    within an epoch they differ only in the one-hot request slot. Any other
-    next state, in practice one per epoch end, is kept whole in a second
-    ring, the second half of the row table, written in order so its pages
-    are touched only as it fills; its patch rewrites its own first entry.
-    A row's link names the row its next state is read from, so one gather
-    reads both kinds. Both rings are FIFO, so a whole row is overwritten
-    only after the row that reads it. The newest row's next state waits in
-    a kept buffer until the following add compares it with the following
-    state by bit pattern (so -0.0 and NaN round-trip); sample keeps it
-    whole if none came."""
+    Each state is stored once. Row i's next state is read back as row i's
+    own state with the row's patch of PATCH entries written over it, which
+    holds when the two differ in at most PATCH entries, compared by bit
+    pattern (so -0.0 and NaN round-trip): a request changes only its cell's
+    users, CPU and memory and its VNF's deployed flag. Any other next state,
+    which only callers outside the env make, is kept whole at row
+    capacity + i of the row table. A row's link names the row its next
+    state is read from, so one gather reads both kinds."""
+
+    PATCH = 4  # entries one env request changes, as above
 
     def __init__(self, capacity: int, state_dim: int):
         self.capacity = capacity
@@ -95,57 +92,44 @@ class ReplayBuffer:
         self.params = np.empty((capacity, 2))
         self.rewards = np.empty(capacity)
         # where each row's next state is read: the row of self.rows, then the
-        # patch's two positions and the bits of their two values
-        self.links = np.empty((capacity, 5), dtype=np.int64)
-        self.whole_cursor = 0
-        self._pending = False
-        self._next = np.empty(state_dim)  # the newest row's next state while pending
+        # patch's PATCH positions and the bits of their PATCH values
+        self.links = np.empty((capacity, 1 + 2 * self.PATCH), dtype=np.int64)
+        self._next = np.empty(state_dim)  # the next state being added, compared by its bits
         self._next_bits = self._next.view(np.int64)
         self._state_bits = self.states.view(np.int64)
         self.size = 0
         self.cursor = 0
 
-    def _settle(self, following_bits=None):
-        """Link the newest row's next state to the state of the row after it,
-        given as its bits, with a patch; or keep it whole when it is not that
-        state with at most two entries changed (or there is no following state)."""
-        row = (self.cursor - 1) % self.capacity
-        bits = self._next_bits
-        diff = None if following_bits is None else \
-            (bits != following_bits).nonzero()[0].tolist()
-        if diff is not None and len(diff) <= 2:
-            p, q = (diff * 2 or [0, 0])[:2]  # padded by repeats
-            self.links[row] = self.cursor, p, q, bits[p], bits[q]
-        else:
-            w = self.capacity + self.whole_cursor
-            self.rows[w] = self._next
-            self.links[row] = w, 0, 0, bits[0], bits[0]
-            self.whole_cursor = (self.whole_cursor + 1) % self.capacity
-        self._pending = False
-
     def add(self, state, action_index: int, params, reward: float, next_state):
         i = self.cursor
         self.states[i] = state
-        if self._pending:
-            self._settle(self._state_bits[i])
         self.actions[i] = action_index
         self.params[i] = params
         self.rewards[i] = reward
+        bits = self._next_bits
         self._next[:] = next_state
-        self._pending = True
+        diff = (bits != self._state_bits[i]).nonzero()[0].tolist()
+        row = i
+        if len(diff) > self.PATCH:
+            row = self.capacity + i
+            self.rows[row] = self._next
+            diff = []
+        p, q, r, s = (diff * self.PATCH or [0] * self.PATCH)[:self.PATCH]  # padded by repeats
+        v = bits.item
+        self.links[i] = row, p, q, r, s, v(p), v(q), v(r), v(s)
         self.cursor = (i + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
+        if self.size < self.capacity:
+            self.size += 1
 
     def sample(self, batch_size: int, rng: np.random.Generator):
         if self.size == 0:
             raise ValueError("cannot sample from an empty buffer")
-        if self._pending:
-            self._settle()
         idx = rng.integers(0, self.size, size=batch_size)
         links = np.take(self.links, idx, axis=0)
         next_states = np.take(self.rows, links[:, 0], axis=0)
         starts = np.arange(batch_size)[:, None] * self.rows.shape[1]  # flat, per batch row
-        np.put(next_states.view(np.int64), starts + links[:, 1:3], links[:, 3:])
+        np.put(next_states.view(np.int64), starts + links[:, 1:1 + self.PATCH],
+               links[:, 1 + self.PATCH:])
         return (np.take(self.states, idx, axis=0), np.take(self.actions, idx),
                 np.take(self.params, idx, axis=0), np.take(self.rewards, idx), next_states)
 
@@ -334,13 +318,19 @@ class LearnerBase:
     # ------------------------------------------------------------------
     # checkpointing
 
+    def _checkpoint_arrays(self) -> dict:
+        """Every checkpoint array by key, the nets' then the optimizers';
+        views of this learner's arrays, so nn.load_state writes into them."""
+        arrays = {}
+        for name in self._NETS:
+            arrays.update(nn.mlp_state(getattr(self, name), name))
+        for name in self._ADAMS:
+            arrays.update(nn.adam_state(getattr(self, name), name))
+        return arrays
+
     def save(self, path) -> str:
         """Write nets, optimizer moments and meta; returns the file written."""
-        data = {}
-        for name in self._NETS:
-            data.update(nn.mlp_state(getattr(self, name), name))
-        for name in self._ADAMS:
-            data.update(nn.adam_state(getattr(self, name), name))
+        data = self._checkpoint_arrays()
         meta = {"kind": self._KIND, "state_dim": self.state_dim,
                 "n_targets": self.n_targets, "scale": self.scale.tolist(),
                 "updates": self.updates, "cfg": asdict(self.cfg)}
@@ -353,6 +343,8 @@ class LearnerBase:
     def load(cls, path, seed=0):
         path = npz_path(path)
         with np.load(path, allow_pickle=False) as data:
+            if "meta" not in data:
+                raise ValueError(f"{path}: meta: not in the checkpoint")
             meta = json.loads(str(data["meta"]))
             if meta.get("kind") != cls._KIND:
                 raise ValueError(f"{path}: checkpoint of a {meta.get('kind')!r} learner, "
@@ -361,12 +353,12 @@ class LearnerBase:
             scale = meta["scale"] if "scale" in meta else (meta["span_cpu"], meta["span_mem"])
             agent = cls(meta["state_dim"], meta["n_targets"], scale,
                         cls._CONFIG(**meta["cfg"]), seed=seed)
-            for name in cls._NETS:
-                nn.load_state(data, nn.mlp_state(getattr(agent, name), name))
+            try:
+                nn.load_state(data, agent._checkpoint_arrays())
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
             for name in cls._ADAMS:
-                adam = getattr(agent, name)
-                nn.load_state(data, nn.adam_state(adam, name))
-                adam.t = int(data[f"{name}.t"])
+                getattr(agent, name).t = int(data[f"{name}.t"])
             agent.updates = int(meta["updates"])
         return agent
 

@@ -7,7 +7,8 @@ from reference import check_oracle, oracle_figures
 from vnf_lab import env as env_module, harness
 from vnf_lab.baselines import RandomAgent
 from vnf_lab.env import (VnfSpec, CostParams, PoolConfig, TrafficConfig,
-                         ParamAction, EpochTraffic, VnfEnv, cost_components, resource_range)
+                         ParamAction, EpochTraffic, VnfEnv, agent_cost, cost_components,
+                         resource_range)
 from vnf_lab.harness import default_vnfs
 
 
@@ -34,8 +35,11 @@ class TestApplyAction:
         assert not out.infeasible
         # boot latency is part of the instance cost numerator
         lat = 20 + 4 * 3 + 8 * 4
-        assert out.instance_cost == pytest.approx(
+        num = env._grid[3]
+        ic, nc = float(num[0, 0] / st.users[0, 0]), float(num.sum() / st.users.sum())
+        assert ic == pytest.approx(
             1 * lat + 2 * (-35.0) + 1 * (4 * 6 + 8 * 3 + (2 + 1) / 3), abs=1e-9)
+        assert out.cost_psi == agent_cost(ic, nc, env.beta, env.gamma_max)
 
     def test_capacity_overflow_forces_cloud(self):
         env = make_env()
@@ -146,8 +150,13 @@ class TestApplyAction:
             out = env.apply_action(vnf, action, assign_user)
             users = int(env.state.users.sum())
             assert users == before + assign_user and env._users == users
-            num = cost_components(env.state, env.table, env.costs, 10.0)[3]
-            assert out.network_cost == float(num.sum() / users)
+            num = env._grid[3]
+            assert np.array_equal(num, cost_components(env.state, env.table, env.costs, 10.0)[3])
+            t = env.state.cloud if out.infeasible and assign_user else action.target
+            ic = float(num[t, vnf] / max(int(env.state.users[t, vnf]), 1))
+            nc = float(num.sum() / users)
+            assert out.cost_psi == (1.0 if out.infeasible else
+                                    agent_cost(ic, nc, env.beta, env.gamma_max))
 
 
 class TestEncodeState:

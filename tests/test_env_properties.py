@@ -2,8 +2,10 @@
 catalogues, driven by the random and the greedy policy, checked after every
 request and every epoch. Among them: the cost matrices the environment keeps
 and refreshes cell by cell equal a fresh cost_components of the state, its
-kept user count equals the state's, and both the features a request is given
-and the next-state features recorded after it equal a fresh encode_state."""
+kept user count equals the state's, both the features a request is given
+and the next-state features recorded after it equal a fresh encode_state, and
+a next state differs from its state only where the request's cell and VNF
+feed the features."""
 
 import dataclasses
 
@@ -59,6 +61,16 @@ def fresh_psi(env, vnf, action, out):
     return agent_cost(ic, nc, env.beta, env.gamma_max)
 
 
+def request_positions(layout, pool, cell, vnf) -> set:
+    """The feature positions one request on (cell, vnf) may change: the
+    cell's users, its CPU and memory on a server, and the VNF's deployed flag."""
+    at = cell * pool.n_vnfs + vnf
+    positions = {layout.users.start + at, layout.deployed.start + vnf}
+    if cell < pool.k_servers:
+        positions |= {layout.cpu.start + at, layout.mem.start + at}
+    return positions
+
+
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(scenarios())
 def test_invariants_hold_on_every_request_and_epoch(scenario):
@@ -72,13 +84,15 @@ def test_invariants_hold_on_every_request_and_epoch(scenario):
         assert np.array_equal(features, env.encode_state(vnf))
         return agent.select(features, vnf, state, has_user)
 
-    apply_action, psis, next_states = env.apply_action, [], []
+    apply_action, psis, next_states, changeable = env.apply_action, [], [], []
 
     def checked_apply(vnf, action, assign_user=True):
         out = apply_action(vnf, action, assign_user)
         assert env._users == int(env.state.users.sum())  # the kept user count
         psis.append(fresh_psi(env, vnf, action, out))
         next_states.append(env.encode_state(vnf))
+        cell = env.state.cloud if out.infeasible and assign_user else action.target
+        changeable.append(request_positions(env.layout, pool, cell, vnf))
         return out
 
     env.apply_action = checked_apply
@@ -86,6 +100,7 @@ def test_invariants_hold_on_every_request_and_epoch(scenario):
         before = int(env.state.users.sum())
         psis.clear()
         next_states.clear()
+        changeable.clear()
         summary = env.advance_epoch(checked_policy, keep_snapshot=True)
         served, rate = summary.snapshot
         assert_allocation_invariants(served, pool)
@@ -95,6 +110,10 @@ def test_invariants_hold_on_every_request_and_epoch(scenario):
         assert len(next_states) == len(summary.records)
         for r, want in zip(summary.records, next_states):
             assert np.array_equal(r.next_state, want)
+        # what lets replay store a next state as its own state with a patch
+        for r, positions in zip(summary.records, changeable):
+            changed = np.flatnonzero(r.next_state.view(np.int64) != r.state.view(np.int64))
+            assert set(changed.tolist()) <= positions
 
         # every arrival is placed once; departures only remove users
         arrivals = env.cur.arrivals

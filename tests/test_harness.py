@@ -173,6 +173,17 @@ class TestSeedResolution:
         with pytest.raises(ConfigError):
             resolve_seed(cfg)
 
+    def test_negative_seeds_are_refused_naming_their_source(self, monkeypatch):
+        with pytest.raises(ConfigError, match="^run: run.seed must be >= 0 or null$"):
+            desk_cfg(seed=-2)
+        with pytest.raises(ConfigError, match="^--seed: a seed must be >= 0, not -5$"):
+            resolve_seed(desk_cfg(), -5)
+        cfg = config_from_dict({"pool": {"k_servers": 3, "n_vnfs": 3}})
+        monkeypatch.setenv(harness.SEED_ENV_VAR, "-3")
+        with pytest.raises(ConfigError, match=f"^{harness.SEED_ENV_VAR}: a seed must be >= 0"):
+            resolve_seed(cfg)
+        assert resolve_seed(cfg, 0) == 0
+
 
 class TestCsvFormat:
     def test_header_is_stable(self):
@@ -527,6 +538,38 @@ class TestCli:
         assert cli.main(["eval", "--config", path, "--agent", "ddqn", "--checkpoint",
                          str(out / "checkpoint.npz"), "--quiet"]) == 1
         assert "'pat'" in capsys.readouterr().err
+
+    def test_eval_refuses_a_file_that_is_not_a_checkpoint(self, tmp_path, capsys):
+        agent = {"kind": "pat", "warmup_size": 16, "batch_size": 8, "buffer_capacity": 512}
+        path = self.write_cfg(tmp_path, agent=agent, total_epochs=2, eval_epochs=1)
+        other = tmp_path / "other.npz"
+        np.savez(other, weights=np.zeros(3))
+        assert cli.main(["eval", "--config", path, "--checkpoint", str(other), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {other}: meta: not in the checkpoint\n"
+        out = tmp_path / "out"
+        assert cli.main(["train", "--config", path, "--out", str(out), "--quiet"]) == 0
+        with np.load(out / "checkpoint.npz") as data:  # one net's arrays left out
+            np.savez(other, **{k: data[k] for k in data.files if not k.startswith("critic_2.")})
+        assert cli.main(["eval", "--config", path, "--checkpoint", str(other), "--quiet"]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {other}: critic_2.w0: not in the checkpoint\n"
+
+    @pytest.mark.parametrize("command", ["train", "compare"])
+    def test_negative_seeds_are_refused_naming_their_source(self, tmp_path, capsys,
+                                                            monkeypatch, command):
+        argv = [command, "--config", self.write_cfg(tmp_path, agent={"kind": "greedy"}, seed=None),
+                "--out", str(tmp_path / "out"), "--quiet"]
+        assert cli.main(argv + ["--seed", "-5"]) == 1
+        assert capsys.readouterr().err == "error: --seed: a seed must be >= 0, not -5\n"
+        monkeypatch.setenv(harness.SEED_ENV_VAR, "-3")
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == \
+            f"error: {harness.SEED_ENV_VAR}: a seed must be >= 0, not -3\n"
+        self.write_cfg(tmp_path, agent={"kind": "greedy"}, seed=-2)
+        for args in (["validate-config", "--config", argv[2]], argv):
+            assert cli.main(args) == 1
+            assert capsys.readouterr().err == "error: run: run.seed must be >= 0 or null\n"
+        assert not (tmp_path / "out").exists()
 
     def test_eval_refuses_a_checkpoint_of_another_pool_shape(self, tmp_path, capsys):
         agent = {"kind": "pat", "warmup_size": 16, "batch_size": 8, "buffer_capacity": 512}
