@@ -49,9 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> harness.ExperimentConfig:
     cfg = harness.load_config(args.config)
-    if getattr(args, "agent", None) and args.agent != cfg.agent.get("kind"):
-        # a block already of that kind is kept, as compare keeps it
-        cfg = dataclasses.replace(cfg, agent=harness.default_agent_config(args.agent))
+    if getattr(args, "agent", None):
+        cfg = harness.with_agent(cfg, args.agent)
     if getattr(args, "epochs", None) is not None:
         if args.epochs < 1:
             raise ConfigError("--epochs must be >= 1")
@@ -77,30 +76,24 @@ def main(argv=None) -> int:
         if args.command == "eval":
             cfg = _load(args)
             seed = harness.resolve_seed(cfg, args.seed)
-            env = harness.build_env(cfg, seed, stream=1)
             kind = cfg.agent["kind"]
             if kind not in harness.LEARNERS:
-                agent = harness.build_agent(cfg, env, seed)
+                agent = harness.build_agent(cfg, harness.build_env(cfg, seed, stream=1), seed)
             else:
                 ckpt = args.checkpoint or cfg.run.checkpoint_path
                 if not ckpt:
                     raise ConfigError(f"eval: agent {kind!r} needs a trained checkpoint: "
                                       "pass --checkpoint or set run.checkpoint_path")
                 agent = harness.LEARNERS[kind].load(ckpt, seed=seed)
-                got, want = (agent.state_dim, agent.n_targets), (env.feature_length, env.n_targets)
-                if got != want:
-                    raise ConfigError(f"eval: checkpoint {ckpt} has (state_dim, n_targets) "
-                                      f"{got}, but the config's pool gives {want}")
             epochs = args.epochs or cfg.run.eval_epochs or 100
-            rows = harness.evaluate_agent(cfg, agent, seed, epochs)
-            kpis = harness.compute_kpis(rows)
             if args.out:
                 os.makedirs(args.out, exist_ok=True)
-                path = os.path.join(args.out, "eval_metrics.csv")
-                with open(path, "w") as fh:
+                with open(os.path.join(args.out, "eval_metrics.csv"), "w") as fh:
                     fh.write(harness.CSV_HEADER + "\n")
-                    for m in rows:
-                        fh.write(harness.metrics_row(m) + "\n")
+                    rows = harness.evaluate_agent(cfg, agent, seed, epochs, sink=fh)
+            else:
+                rows = harness.evaluate_agent(cfg, agent, seed, epochs)
+            kpis = harness.compute_kpis(rows)
             if not args.quiet:
                 for key, val in sorted(kpis.items()):
                     print(f"{key}: {val:.6g}")

@@ -7,6 +7,7 @@ stay geometrically, and are placed one request at a time by an agent callback.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -172,20 +173,6 @@ class EpochSummary:
     snapshot: object = None
 
 
-class SpecTable:
-    """The VnfSpec fields as float64 columns (table.c0, ...), and each spec again
-    with its fields as Python floats (table.rows) for the per-cell cost kernel,
-    so int catalogue rows get the same float64 arithmetic."""
-
-    def __init__(self, specs):
-        self.specs = list(specs)
-        names = [f.name for f in fields(VnfSpec)[1:]]
-        cols = np.array([[getattr(s, n) for n in names] for s in self.specs], dtype=np.float64)
-        for n, col in zip(names, cols.T):
-            setattr(self, n, col.copy())
-        self.rows = [VnfSpec(s.id, *map(float, row)) for s, row in zip(self.specs, cols)]
-
-
 class AllocationState:
     """Mutable allocation matrices plus the previous-epoch snapshot."""
 
@@ -211,22 +198,14 @@ class AllocationState:
         self.server_active_prev = self.cpu[: self.k_servers].sum(axis=1) > 0
 
     def copy(self) -> "AllocationState":
-        out = AllocationState(self.k_servers, self.n_vnfs)
-        out.cpu = self.cpu.copy()
-        out.mem = self.mem.copy()
-        out.users = self.users.copy()
-        out.cpu_prev = self.cpu_prev.copy()
-        out.mem_prev = self.mem_prev.copy()
-        out.server_active_prev = self.server_active_prev.copy()
-        return out
+        return copy.deepcopy(self)
 
 
 # ---------------------------------------------------------------------------
 # resource ranges, QoS and the cost model
 
 def resource_range(spec, u):
-    """Feasible (c_low, c_up, m_low, m_up) band for u users on one instance;
-    elementwise when spec is a SpecTable and u an array."""
+    """Feasible (c_low, c_up, m_low, m_up) band for u users on one instance."""
     c_low = spec.c0 + (spec.cr - spec.dc) * u
     c_up = spec.c0 + (spec.cr + spec.dc) * u
     m_low = spec.m0 + (spec.mr - spec.dm) * u
@@ -281,8 +260,7 @@ def cell_costs(state: AllocationState, spec: VnfSpec, costs: CostParams, rate: f
     return lat, fin, sla, costs.w1 * lat + costs.w3 * sla + costs.w2 * fin
 
 
-def cost_components(state: AllocationState, table: SpecTable,
-                    costs: CostParams, rate: float):
+def cost_components(state: AllocationState, specs, costs: CostParams, rate: float):
     """(latency, financial, sla, weighted numerator) matrices over all rows,
     filled cell by cell from cell_costs. A server cell whose users, CPU,
     memory and previous allocation are all zero costs what an empty server
@@ -292,7 +270,7 @@ def cost_components(state: AllocationState, table: SpecTable,
                                  state.cpu_prev, state.mem_prev]).tolist()
     empty, idle, cells = None, {}, []
     for t in range(k + 1):
-        for j, spec in enumerate(table.rows):
+        for j, spec in enumerate(specs):
             if t == k or live[t][j]:
                 cells.append(cell_costs(state, spec, costs, rate, t, j))
                 continue
@@ -327,20 +305,24 @@ def sample_cloud_rate(traffic: TrafficConfig, rng: np.random.Generator) -> float
     return max(float(rng.normal(traffic.mu_r, traffic.sigma_r)), traffic.r_min)
 
 
-def apply_departures(state: AllocationState, table: SpecTable,
-                     rng: np.random.Generator) -> np.ndarray:
+def book_cloud(state: AllocationState, spec: VnfSpec, j: int):
+    """Book VNF j's cloud instance at the per-user upper bounds of its users,
+    or terminate it at zero when it has none."""
+    u = int(state.users[state.cloud, j])
+    _, c_up, _, m_up = resource_range(spec, u) if u else (0.0,) * 4
+    state.cpu[state.cloud, j] = c_up
+    state.mem[state.cloud, j] = m_up
+
+
+def apply_departures(state: AllocationState, specs, rng: np.random.Generator) -> np.ndarray:
     """End-of-slot geometric service: each user leaves w.p. 1 - p_stay.
 
-    Returns the per-(row, vnf) leaver counts. Cloud rows are rebooked to the
-    per-user upper bounds for the remaining users, or terminated at zero."""
-    leavers = rng.binomial(state.users, 1.0 - table.p_stay)
+    Returns the per-(row, vnf) leaver counts. Cloud instances are rebooked
+    for the users that remain (book_cloud)."""
+    leavers = rng.binomial(state.users, [1.0 - s.p_stay for s in specs])
     state.users -= leavers
-    kk = state.cloud
-    u = state.users[kk].astype(np.float64)
-    _, c_up, _, m_up = resource_range(table, u)
-    live = u > 0
-    state.cpu[kk] = np.where(live, c_up, 0.0)
-    state.mem[kk] = np.where(live, m_up, 0.0)
+    for j, spec in enumerate(specs):
+        book_cloud(state, spec, j)
     return leavers
 
 
@@ -379,8 +361,9 @@ class VnfEnv:
         self.pool = pool
         self.costs = costs
         self.traffic_cfg = traffic
-        self.table = SpecTable(specs)
-        self.specs = self.table.specs
+        # each spec's fields as Python floats, so int catalogue rows get float64 arithmetic
+        self.specs = [VnfSpec(s.id, *(float(getattr(s, f.name)) for f in fields(VnfSpec)[1:]))
+                      for s in specs]
         self.beta = beta
         self.gamma_max = gamma_max
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
@@ -455,13 +438,8 @@ class VnfEnv:
         return out
 
     def _admit_cloud(self, j: int):
-        st = self.state
-        st.users[st.cloud, j] += 1
-        spec = self.specs[j]
-        u = int(st.users[st.cloud, j])
-        _, c_up, _, m_up = resource_range(spec, u)
-        st.cpu[st.cloud, j] = c_up
-        st.mem[st.cloud, j] = m_up
+        self.state.users[self.state.cloud, j] += 1
+        book_cloud(self.state, self.specs[j], j)
 
     def _kept(self):
         """The (latency, financial, sla, numerator) matrices, features and user
@@ -469,7 +447,7 @@ class VnfEnv:
         (encode_state raises without one); apply_action keeps all three current."""
         if self.cur is None or self._kept_cur is not self.cur:
             self._features = self.encode_state(0)
-            self._grid = cost_components(self.state, self.table, self.costs,
+            self._grid = cost_components(self.state, self.specs, self.costs,
                                          self.cur.cloud_rate)
             self._users = int(self.state.users.sum())
             self._kept_cur = self.cur
@@ -517,7 +495,7 @@ class VnfEnv:
         # read no other cell, except VNF vnf's deployed flag, which reads its column
         where = st.cloud if infeasible and assign_user else t
         lat[where, vnf], fin[where, vnf], sla[where, vnf], num[where, vnf] = cell_costs(
-            st, self.table.rows[vnf], self.costs, self.cur.cloud_rate, where, vnf)
+            st, self.specs[vnf], self.costs, self.cur.cloud_rate, where, vnf)
         self._users += bool(assign_user)  # an assigned user lands on a server or the cloud
         ic = float(num[where, vnf] / max(int(st.users[where, vnf]), 1))
         nc = float(num.sum() / max(self._users, 1))
@@ -556,7 +534,7 @@ class VnfEnv:
 
         metrics = self._epoch_metrics(records)
         snapshot = (self.state.copy(), rate) if keep_snapshot else None
-        apply_departures(self.state, self.table, self.rng_departures)
+        apply_departures(self.state, self.specs, self.rng_departures)
         self.state.snapshot_prev()
         self._kept_cur = None  # departures and the new reference point change every cell
         self.epoch += 1

@@ -8,6 +8,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import operator
 import os
 from dataclasses import dataclass, asdict
 
@@ -157,6 +158,13 @@ def _agent_block(doc) -> dict:
     return agent
 
 
+def with_agent(cfg: ExperimentConfig, kind: str) -> ExperimentConfig:
+    """cfg running agent kind: with its own agent block when that block is of
+    this kind, else with the kind's defaults; the block is checked either way."""
+    doc = cfg.agent if cfg.agent.get("kind") == kind else {"kind": kind}
+    return dataclasses.replace(cfg, agent=_agent_block(doc))
+
+
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
@@ -198,24 +206,27 @@ def export_defaults() -> str:
     return json.dumps(config_to_dict(defaults()), indent=2) + "\n"
 
 
+def check_seed(seed, source: str) -> int:
+    """seed as an int >= 0, from an integer or, as the environment gives it, the
+    text of one; anything else is refused naming where it came from."""
+    try:
+        value = int(seed) if isinstance(seed, str) else operator.index(seed)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{source}: a seed must be an integer, not {seed!r}") from None
+    if value < 0:
+        raise ConfigError(f"{source}: a seed must be >= 0, not {value}")
+    return value
+
+
 def resolve_seed(cfg: ExperimentConfig, cli_seed: int | None = None) -> int:
-    """Priority: explicit argument, config value, environment fallback, zero.
-    A seed is >= 0; a negative one is refused naming where it came from."""
+    """Priority: explicit argument, config value, environment fallback, zero;
+    the seed found is checked by check_seed."""
     if cli_seed is not None:
-        seed, source = int(cli_seed), "--seed"
-    elif cfg.run.seed is not None:
-        seed, source = int(cfg.run.seed), "run.seed"
-    else:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is None:
-            return 0
-        try:
-            seed, source = int(env), SEED_ENV_VAR
-        except ValueError as exc:
-            raise ConfigError(f"{SEED_ENV_VAR}: not an integer ({env!r})") from exc
-    if seed < 0:
-        raise ConfigError(f"{source}: a seed must be >= 0, not {seed}")
-    return seed
+        return check_seed(cli_seed, "--seed")
+    if cfg.run.seed is not None:
+        return check_seed(cfg.run.seed, "run.seed")
+    env = os.environ.get(SEED_ENV_VAR)
+    return 0 if env is None else check_seed(env, SEED_ENV_VAR)
 
 
 # ---------------------------------------------------------------------------
@@ -362,14 +373,19 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None,
     return result
 
 
-def evaluate_agent(cfg: ExperimentConfig, agent, seed: int, epochs: int):
-    """Exploration-free rollout on the shared evaluation trace."""
+def evaluate_agent(cfg: ExperimentConfig, agent, seed: int, epochs: int, sink=None):
+    """Exploration-free rollout on the shared evaluation trace; every epoch's
+    metrics row goes to sink when given. A learner must fit the config's pool."""
     env = build_env(cfg, seed, stream=1)
     learner = isinstance(agent, LearnerBase)
     if learner:
+        got, want = (agent.state_dim, agent.n_targets), (env.feature_length, env.n_targets)
+        if got != want:
+            raise ConfigError(f"eval: the {agent._KIND} learner has (state_dim, n_targets) "
+                              f"{got}, but the config's pool gives {want}")
         agent.set_eval(True)
     try:
-        return _drive(env, agent, epochs, learner=False)
+        return _drive(env, agent, epochs, learner=False, sink=sink)
     finally:
         if learner:
             agent.set_eval(False)
@@ -392,12 +408,12 @@ def compare(cfg: ExperimentConfig, agent_names, seeds=None, out_dir=None,
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         raise ConfigError(f"compare: agent {', '.join(map(repr, repeated))} named twice")
-    seeds = [resolve_seed(cfg)] if seeds is None else [int(s) for s in seeds]
+    seeds = [resolve_seed(cfg)] if seeds is None else \
+        [check_seed(s, f"compare: seeds[{i}]") for i, s in enumerate(seeds)]
     if not seeds:
         raise ConfigError("compare: need at least one seed")
     # every agent's config is built and checked before any job runs
-    acfgs = {name: dataclasses.replace(cfg, agent=_agent_block(
-        cfg.agent if cfg.agent.get("kind") == name else {"kind": name})) for name in names}
+    acfgs = {name: with_agent(cfg, name) for name in names}
     per_seed = {name: [] for name in names}
     long_rows = []
     long_keys = tuple(k for k in KPI_KEYS if k != "active_users")

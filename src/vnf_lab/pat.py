@@ -345,14 +345,26 @@ class LearnerBase:
         with np.load(path, allow_pickle=False) as data:
             if "meta" not in data:
                 raise ValueError(f"{path}: meta: not in the checkpoint")
-            meta = json.loads(str(data["meta"]))
+            try:
+                meta = json.loads(str(data["meta"]))
+            except ValueError:
+                meta = None
+            if not isinstance(meta, dict):
+                raise ValueError(f"{path}: meta: not a JSON object")
             if meta.get("kind") != cls._KIND:
                 raise ValueError(f"{path}: checkpoint of a {meta.get('kind')!r} learner, "
                                  f"not {cls._KIND!r}")
             # a DDQN checkpoint of older releases stores its lattice's spans, not scale
+            spans = ("scale",) if "scale" in meta else ("span_cpu", "span_mem")
+            for key in ("state_dim", "n_targets", *spans, "cfg", "updates"):
+                if key not in meta:
+                    raise ValueError(f"{path}: meta: no {key!r} key")
             scale = meta["scale"] if "scale" in meta else (meta["span_cpu"], meta["span_mem"])
-            agent = cls(meta["state_dim"], meta["n_targets"], scale,
-                        cls._CONFIG(**meta["cfg"]), seed=seed)
+            try:
+                agent = cls(meta["state_dim"], meta["n_targets"], scale,
+                            cls._CONFIG(**meta["cfg"]), seed=seed)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{path}: meta: {exc}") from exc
             try:
                 nn.load_state(data, agent._checkpoint_arrays())
             except ValueError as exc:

@@ -1,5 +1,6 @@
 """Independent references for the cost-model tests and the random inputs
-they are checked on, the plain formulas the in-place nn code must
+they are checked on, the departure step's column rebook as first written,
+the plain formulas the in-place nn code must
 reproduce bit for bit, the learners' batch-1 decision formulas as first
 written, which their float-scalar forms must reproduce bit for bit, and the
 replay ring as first written, with every next state stored whole.
@@ -68,13 +69,13 @@ def check_kernel(mats, state: AllocationState, specs, costs, rate: float,
     return check_oracle(got, {key: want[key] for key in got}, where)
 
 
-def dense_cost_grid(state: AllocationState, table, costs, rate: float) -> tuple:
+def dense_cost_grid(state: AllocationState, specs, costs, rate: float) -> tuple:
     """(latency, financial, sla, numerator) matrices from cell_costs run on
     every one of the (k+1) x n cells, the grid cost_components must equal
     bit for bit."""
     grid = np.empty((4, state.k_servers + 1, state.n_vnfs))
     for t in range(state.k_servers + 1):
-        for j, spec in enumerate(table.rows):
+        for j, spec in enumerate(specs):
             grid[:, t, j] = cell_costs(state, spec, costs, rate, t, j)
     return tuple(grid)
 
@@ -125,6 +126,21 @@ def random_populated_state(rng, k_servers, specs) -> AllocationState:
         setattr(st, prev, np.select([pick == 0, pick == 1], [now, other], 0.0))
     st.server_active_prev = rng.random(k_servers) < 0.5
     return st
+
+
+def apply_departures_reference(state: AllocationState, specs, rng) -> np.ndarray:
+    """apply_departures as first written: the catalogue as float64 columns,
+    one binomial draw, and the cloud row rebooked by column arithmetic."""
+    col = {name: np.array([getattr(s, name) for s in specs], dtype=np.float64)
+           for name in ("c0", "cr", "dc", "m0", "mr", "dm", "p_stay")}
+    leavers = rng.binomial(state.users, 1.0 - col["p_stay"])
+    state.users -= leavers
+    kk = state.cloud
+    u = state.users[kk].astype(np.float64)
+    live = u > 0
+    state.cpu[kk] = np.where(live, col["c0"] + (col["cr"] + col["dc"]) * u, 0.0)
+    state.mem[kk] = np.where(live, col["m0"] + (col["mr"] + col["dm"]) * u, 0.0)
+    return leavers
 
 
 # ---------------------------------------------------------------------------

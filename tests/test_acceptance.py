@@ -17,7 +17,7 @@ import pytest
 from reference import check_kernel, qos_reference, random_populated_state, random_spec
 from vnf_lab import cli, harness, nn
 from vnf_lab.baselines import CloudAgent, GreedyAgent
-from vnf_lab.env import CostParams, SpecTable, VnfSpec, cost_components, qos, resource_range
+from vnf_lab.env import CostParams, VnfSpec, cost_components, qos, resource_range
 from vnf_lab.pat import PatAgent, PatConfig
 
 SPEC0 = VnfSpec(0, 3, 5, 4, 6, 5, 3, 35, 70, 2, 2.0, 1.5)
@@ -66,7 +66,7 @@ def test_network_cost_aggregates_instance_costs():
         specs = [random_spec(rng, i) for i in range(n)]
         st = random_populated_state(rng, k, specs)
         rate = float(rng.uniform(1.0, 16.0))
-        mats = cost_components(st, SpecTable(specs), costs, rate)
+        mats = cost_components(st, specs, costs, rate)
         assert check_kernel(mats, st, specs, costs, rate, f"rep {rep}") == []
 
 

@@ -9,7 +9,7 @@ import pytest
 from reference import (check_kernel, dense_cost_grid, qos_reference, random_populated_state,
                        random_spec)
 from vnf_lab.env import (VnfSpec, CostParams, PoolConfig, AllocationState,
-                         SpecTable, resource_range, qos, agent_cost, cost_components)
+                         resource_range, qos, agent_cost, cost_components)
 from vnf_lab.harness import default_vnfs
 
 N1 = VnfSpec(0, 3, 5, 4, 6, 5, 3, 35, 70, 2, 2.0, 1.5)
@@ -68,17 +68,17 @@ class TestQos:
     def test_band_edges_stay_inside_the_band(self, u):
         # slope * x + offset lands just below qos_min at the lower edge for
         # some catalogue rows (VNFs 4, 5 and 9 at u = 3); the floor must hold
-        table = SpecTable(default_vnfs(10))
+        specs = default_vnfs(10)
         st = make_state(k_servers=2, n_vnfs=10)
         st.users[:2] = u
-        c_low, c_up, m_low, m_up = resource_range(table, u)
-        st.cpu[:2], st.mem[:2] = (c_low, c_up), (m_low, m_up)
-        for j, spec in enumerate(table.rows):
+        for j, spec in enumerate(specs):
+            c_low, c_up, m_low, m_up = resource_range(spec, u)
+            st.cpu[:2, j], st.mem[:2, j] = (c_low, c_up), (m_low, m_up)
             assert qos(spec, u, st.cpu[0, j], st.mem[0, j]) >= spec.qos_min
             assert qos(spec, u, st.cpu[1, j], st.mem[1, j]) <= spec.qos_max
-        sla = cost_components(st, table, COSTS, 10.0)[2]
-        assert sla[0] == pytest.approx(-table.qos_min * u, rel=1e-12)
-        assert sla[1] == pytest.approx(-table.qos_max * u, rel=1e-12)
+        sla = cost_components(st, specs, COSTS, 10.0)[2]
+        assert sla[0] == pytest.approx([-s.qos_min * u for s in specs], rel=1e-12)
+        assert sla[1] == pytest.approx([-s.qos_max * u for s in specs], rel=1e-12)
 
     def test_monotone_inside_band(self):
         rng = np.random.default_rng(12)
@@ -99,7 +99,7 @@ def make_state(k_servers=3, n_vnfs=3):
 def components(st, specs=None, costs=COSTS, rate=10.0):
     """(latency, financial, sla, numerator) matrices of cost_components."""
     specs = specs or [N1] * st.n_vnfs
-    return cost_components(st, SpecTable(specs), costs, rate)
+    return cost_components(st, specs, costs, rate)
 
 
 class TestLatencies:
@@ -219,21 +219,19 @@ class TestNetworkCost:
     def test_matches_instance_sum(self):
         rng = np.random.default_rng(21)
         specs = [random_spec(rng, i) for i in range(4)]
-        table = SpecTable(specs)
         for rep in range(200):
             st = random_populated_state(rng, 3, specs)
             rate = rng.uniform(1, 20)
-            mats = cost_components(st, table, COSTS, rate)
+            mats = cost_components(st, specs, COSTS, rate)
             assert check_kernel(mats, st, specs, COSTS, rate, f"rep {rep}") == []
 
     def test_vectorized_components_match_scalar_ops(self):
         rng = np.random.default_rng(22)
         specs = [random_spec(rng, i) for i in range(5)]
-        table = SpecTable(specs)
         for _ in range(100):
             st = random_populated_state(rng, 2, specs)
             rate = rng.uniform(1, 20)
-            mats = cost_components(st, table, COSTS, rate)
+            mats = cost_components(st, specs, COSTS, rate)
             for k in range(3):
                 for j in range(5):
                     cell = [mat[k:k + 1, j] for mat in mats]
@@ -245,9 +243,9 @@ class TestCostGrid:
     """cost_components against cell_costs run on every cell."""
 
     @staticmethod
-    def assert_grid_equal(st, table, rate):
-        for got, want in zip(cost_components(st, table, COSTS, rate),
-                             dense_cost_grid(st, table, COSTS, rate)):
+    def assert_grid_equal(st, specs, rate):
+        for got, want in zip(cost_components(st, specs, COSTS, rate),
+                             dense_cost_grid(st, specs, COSTS, rate)):
             assert np.array_equal(got, want)
             assert np.array_equal(np.signbit(got), np.signbit(want))
             # the env sums these matrices; a sum's rounding follows memory order
@@ -262,7 +260,6 @@ class TestCostGrid:
         specs += [dataclasses.replace(specs[0], id=4, c0=0.0, m0=0.0),
                   dataclasses.replace(specs[1], id=5, c0=0.0),
                   dataclasses.replace(N6, id=6)]
-        table = SpecTable(specs)
         seen = {"empty cloud": 0, "memory, no CPU": 0, "previous only": 0}
         for _ in range(150):
             st = random_populated_state(rng, 3, specs)
@@ -283,27 +280,25 @@ class TestCostGrid:
             seen["empty cloud"] += int((~now[-1] & ~before[-1]).sum())
             seen["memory, no CPU"] += int(((st.mem != 0) & (st.cpu == 0)).sum())
             seen["previous only"] += int((~now & before).sum())
-            self.assert_grid_equal(st, table, rng.uniform(1, 20))
+            self.assert_grid_equal(st, specs, rng.uniform(1, 20))
         assert min(seen.values()) > 20, seen
 
     def test_empty_cloud_cells_keep_a_negative_zero_sla(self):
         specs = default_vnfs(4)
-        table = SpecTable(specs)
         st = AllocationState(2, 4)
         st.users[2, 1], st.cpu[2, 1], st.mem[2, 1] = 2, 7.0, 9.0
-        sla = cost_components(st, table, COSTS, 10.0)[2]
+        sla = cost_components(st, specs, COSTS, 10.0)[2]
         assert np.signbit(sla[2, [0, 2, 3]]).all() and (sla[2, [0, 2, 3]] == 0).all()
-        self.assert_grid_equal(st, table, 10.0)
+        self.assert_grid_equal(st, specs, 10.0)
 
     def test_all_empty_and_all_occupied_grids(self):
         rng = np.random.default_rng(24)
         specs = [random_spec(rng, i) for i in range(3)]
-        table = SpecTable(specs)
-        self.assert_grid_equal(AllocationState(2, 3), table, 7.0)
+        self.assert_grid_equal(AllocationState(2, 3), specs, 7.0)
         st = random_populated_state(rng, 2, specs)
         for name in ("cpu", "mem", "cpu_prev", "mem_prev"):
             getattr(st, name)[:] = rng.uniform(0.5, 12, st.cpu.shape)
-        self.assert_grid_equal(st, table, 7.0)
+        self.assert_grid_equal(st, specs, 7.0)
 
 
 class TestValidation:

@@ -86,6 +86,21 @@ class TestApplyAction:
         _, c_up2, _, m_up2 = resource_range(env.specs[1], 2)
         assert st.cpu[st.cloud, 1] == c_up2 and st.users[st.cloud, 1] == 2
 
+    def test_cloud_admissions_book_the_raw_catalogue_bands(self):
+        """On the int default catalogue, the env's float booking equals the
+        integer band of the raw spec, offloaded or fallen through."""
+        raw = default_vnfs(10)
+        env = make_env(k=2, n=10)
+        st = env.state
+        for u in range(1, 41):
+            for j in range(10):
+                action = ParamAction(st.cloud) if (u + j) % 3 else ParamAction(0, 99.0, 0.0)
+                env.apply_action(j, action)
+                _, c_up, _, m_up = resource_range(raw[j], u)
+                assert (st.users[st.cloud, j], st.cpu[st.cloud, j], st.mem[st.cloud, j]) \
+                    == (u, c_up, m_up)
+                assert type(c_up) is int
+
     def test_cloud_idle_visit_is_noop(self):
         env = make_env()
         before = env.state.copy()
@@ -151,7 +166,7 @@ class TestApplyAction:
             users = int(env.state.users.sum())
             assert users == before + assign_user and env._users == users
             num = env._grid[3]
-            assert np.array_equal(num, cost_components(env.state, env.table, env.costs, 10.0)[3])
+            assert np.array_equal(num, cost_components(env.state, env.specs, env.costs, 10.0)[3])
             t = env.state.cloud if out.infeasible and assign_user else action.target
             ic = float(num[t, vnf] / max(int(env.state.users[t, vnf]), 1))
             nc = float(num.sum() / users)

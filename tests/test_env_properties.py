@@ -50,7 +50,7 @@ def assert_allocation_invariants(state, pool):
 def fresh_psi(env, vnf, action, out):
     """Check the environment's kept cost matrices against a fresh grid of the
     current state, bit for bit, and return the request's psi from that grid."""
-    fresh = cost_components(env.state, env.table, env.costs, env.cur.cloud_rate)
+    fresh = cost_components(env.state, env.specs, env.costs, env.cur.cloud_rate)
     for kept, want in zip(env._grid, fresh):
         assert np.array_equal(kept, want) and np.array_equal(np.signbit(kept), np.signbit(want))
     if out.infeasible:

@@ -3,6 +3,7 @@
 import ctypes
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -24,7 +25,7 @@ from vnf_lab.harness import (CSV_HEADER, ConfigError, aggregate_kpis, compare,
                              compute_kpis, config_from_dict,
                              config_to_dict, default_vnfs, defaults,
                              export_defaults, format_float, metrics_row,
-                             resolve_seed, run_experiment)
+                             resolve_seed, run_experiment, with_agent)
 
 
 def desk_doc(agent=None, **run):
@@ -152,6 +153,18 @@ def dictmerge(i: int) -> dict:
     return dataclasses.asdict(default_vnfs(3)[i])
 
 
+class TestWithAgent:
+    def test_keeps_a_block_of_the_kind_else_takes_its_defaults(self):
+        cfg = desk_cfg(agent={"kind": "pat", "warmup_size": 300})
+        assert with_agent(cfg, "pat").agent == cfg.agent
+        assert with_agent(cfg, "ddqn").agent == harness.default_agent_config("ddqn")
+        assert with_agent(cfg, "cloud").agent == {"kind": "cloud"}
+        with pytest.raises(ConfigError, match="unknown agent 'sarsa'"):
+            with_agent(cfg, "sarsa")
+        with pytest.raises(ConfigError, match="tau"):
+            with_agent(dataclasses.replace(cfg, agent={"kind": "pat", "tau": 5.0}), "pat")
+
+
 class TestSeedResolution:
     def test_cli_beats_config(self):
         assert resolve_seed(desk_cfg(), 9) == 9
@@ -170,7 +183,8 @@ class TestSeedResolution:
     def test_bad_environment_value(self, monkeypatch):
         cfg = config_from_dict({"pool": {"k_servers": 3, "n_vnfs": 3}})
         monkeypatch.setenv(harness.SEED_ENV_VAR, "many")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError,
+                           match=f"^{harness.SEED_ENV_VAR}: a seed must be an integer, not 'many'$"):
             resolve_seed(cfg)
 
     def test_negative_seeds_are_refused_naming_their_source(self, monkeypatch):
@@ -183,6 +197,11 @@ class TestSeedResolution:
         with pytest.raises(ConfigError, match=f"^{harness.SEED_ENV_VAR}: a seed must be >= 0"):
             resolve_seed(cfg)
         assert resolve_seed(cfg, 0) == 0
+
+    def test_seeds_must_be_integers(self):
+        with pytest.raises(ConfigError, match="^--seed: a seed must be an integer, not 1.7$"):
+            resolve_seed(desk_cfg(), 1.7)
+        assert resolve_seed(desk_cfg(), np.int64(4)) == 4
 
 
 class TestCsvFormat:
@@ -308,6 +327,23 @@ class TestEvaluateAgent:
         assert seen == [True, True, True]
         assert agent.eval_mode is False
 
+    def test_refuses_a_learner_of_another_pool_shape(self):
+        cfg = desk_cfg(agent={"kind": "pat"})
+        agent = harness.build_agent(cfg, harness.build_env(cfg, 3), 3)
+        wide = dataclasses.replace(cfg, pool=dataclasses.replace(cfg.pool, k_servers=4))
+        # 3 servers x 3 VNFs give 40 features and 4 targets; 4 servers give 49 and 5
+        with pytest.raises(ConfigError, match=r"\(40, 4\), but the config's pool gives \(49, 5\)"):
+            harness.evaluate_agent(wide, agent, 3, 2)
+        assert agent.eval_mode is False
+
+    def test_sink_gets_every_row_whatever_metrics_every(self):
+        cfg = desk_cfg(agent={"kind": "greedy"}, metrics_every=3)
+        agent = harness.build_agent(cfg, harness.build_env(cfg, 3), 3)
+        sink = io.StringIO()
+        rows = harness.evaluate_agent(cfg, agent, 3, 5, sink=sink)
+        assert sink.getvalue().splitlines() == [metrics_row(m) for m in rows]
+        assert len(rows) == 5
+
 
 class TestCompare:
     def test_agents_see_the_same_arrival_trace(self):
@@ -340,6 +376,16 @@ class TestCompare:
     def test_compare_needs_seeds(self):
         with pytest.raises(ConfigError, match="need at least one seed"):
             compare(desk_cfg(), ["cloud"], seeds=[])
+
+    def test_compare_refuses_bad_seeds_naming_them(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness, "evaluate_agent", lambda *a, **k: calls.append(a))
+        with pytest.raises(ConfigError, match=r"^compare: seeds\[0\]: a seed must be >= 0, not -1$"):
+            compare(desk_cfg(), ["greedy"], seeds=[-1])
+        with pytest.raises(ConfigError,
+                           match=r"^compare: seeds\[1\]: a seed must be an integer, not 1.7$"):
+            compare(desk_cfg(), ["greedy"], seeds=[2, 1.7])
+        assert calls == []
 
 
 class TestCli:
@@ -546,6 +592,12 @@ class TestCli:
         np.savez(other, weights=np.zeros(3))
         assert cli.main(["eval", "--config", path, "--checkpoint", str(other), "--quiet"]) == 1
         assert capsys.readouterr().err == f"error: {other}: meta: not in the checkpoint\n"
+        for meta, err in (("5", "not a JSON object"), ("{", "not a JSON object"),
+                          (json.dumps({"kind": "pat"}), "no 'state_dim' key")):
+            np.savez(other, meta=np.array(meta))
+            assert cli.main(["eval", "--config", path, "--checkpoint", str(other),
+                             "--quiet"]) == 1
+            assert capsys.readouterr().err == f"error: {other}: meta: {err}\n"
         out = tmp_path / "out"
         assert cli.main(["train", "--config", path, "--out", str(out), "--quiet"]) == 0
         with np.load(out / "checkpoint.npz") as data:  # one net's arrays left out

@@ -1,11 +1,13 @@
 """Statistical checks of the traffic samplers against closed-form moments."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from vnf_lab.env import (VnfSpec, TrafficConfig, AllocationState, SpecTable,
+from reference import apply_departures_reference, random_populated_state, random_spec
+from vnf_lab.env import (VnfSpec, TrafficConfig, AllocationState,
                          sample_rate_block, sample_arrivals, sample_cloud_rate,
                          apply_departures, resource_range)
 
@@ -76,7 +78,7 @@ class TestDepartures:
         st.cpu[0, 0], st.mem[0, 0] = 10, 10
         st.users[0, 0] = 100_000
         rng = np.random.default_rng(13)
-        leavers = apply_departures(st, SpecTable([spec]), rng)
+        leavers = apply_departures(st, [spec], rng)
         assert leavers[0, 0] == pytest.approx(50_000, rel=0.01)
         assert st.users[0, 0] == 100_000 - leavers[0, 0]
 
@@ -86,7 +88,7 @@ class TestDepartures:
         st.users[0] = (1000, 1000)
         specs = [spec_with(1, 0, p_stay=1.0, idx=0), spec_with(1, 0, p_stay=0.0, idx=1)]
         rng = np.random.default_rng(14)
-        apply_departures(st, SpecTable(specs), rng)
+        apply_departures(st, specs, rng)
         assert st.users[0, 0] == 1000  # nobody leaves
         assert st.users[0, 1] == 0     # everybody leaves
 
@@ -98,7 +100,7 @@ class TestDepartures:
         _, c_up, _, m_up = resource_range(spec, 50)
         st.cpu[cl, 0], st.mem[cl, 0] = c_up, m_up
         rng = np.random.default_rng(15)
-        apply_departures(st, SpecTable([spec]), rng)
+        apply_departures(st, [spec], rng)
         u = int(st.users[cl, 0])
         assert 0 < u < 50
         _, c_want, _, m_want = resource_range(spec, u)
@@ -112,15 +114,36 @@ class TestDepartures:
         st.users[cl, 0] = 7
         st.cpu[cl, 0], st.mem[cl, 0] = 20, 30
         rng = np.random.default_rng(16)
-        apply_departures(st, SpecTable([spec]), rng)
+        apply_departures(st, [spec], rng)
         assert st.users[cl, 0] == 0
         assert st.cpu[cl, 0] == 0.0 and st.mem[cl, 0] == 0.0
+
+    def test_rebook_equals_the_column_reference(self):
+        """Per-VNF booking on Python floats gives the column rebook's bits,
+        on non-integer catalogues, and draws what it draws."""
+        rng = np.random.default_rng(18)
+        for rep in range(300):
+            k, n = int(rng.integers(1, 5)), int(rng.integers(1, 7))
+            specs = [dataclasses.replace(random_spec(rng, i), p_stay=float(rng.random()))
+                     for i in range(n)]
+            st = random_populated_state(rng, k, specs)
+            st.users[st.cloud] *= rng.integers(1, 200, n)  # some large cloud instances
+            want = st.copy()
+            seed = int(rng.integers(2**32))
+            got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            leavers = apply_departures(st, specs, got_rng)
+            assert np.array_equal(leavers, apply_departures_reference(want, specs, want_rng))
+            for name in ("users", "cpu", "mem"):
+                got, ref = getattr(st, name), getattr(want, name)
+                assert np.array_equal(got, ref) and np.array_equal(np.signbit(got),
+                                                                   np.signbit(ref)), (rep, name)
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_servers_keep_allocations_after_departures(self):
         spec = spec_with(2.0, 1.5, p_stay=0.3)
         st = AllocationState(2, 1)
         st.cpu[0, 0], st.mem[0, 0], st.users[0, 0] = 8, 9, 40
         rng = np.random.default_rng(17)
-        apply_departures(st, SpecTable([spec]), rng)
+        apply_departures(st, [spec], rng)
         assert st.cpu[0, 0] == 8 and st.mem[0, 0] == 9
         assert 0 <= st.users[0, 0] <= 40
