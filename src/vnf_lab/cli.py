@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import os
 import sys
 
 from . import harness
@@ -86,13 +85,8 @@ def main(argv=None) -> int:
                                       "pass --checkpoint or set run.checkpoint_path")
                 agent = harness.LEARNERS[kind].load(ckpt, seed=seed)
             epochs = args.epochs or cfg.run.eval_epochs or 100
-            if args.out:
-                os.makedirs(args.out, exist_ok=True)
-                with open(os.path.join(args.out, "eval_metrics.csv"), "w") as fh:
-                    fh.write(harness.CSV_HEADER + "\n")
-                    rows = harness.evaluate_agent(cfg, agent, seed, epochs, sink=fh)
-            else:
-                rows = harness.evaluate_agent(cfg, agent, seed, epochs)
+            with harness.metrics_file(args.out or None, "eval_metrics.csv") as sink:
+                rows = harness.evaluate_agent(cfg, agent, seed, epochs, sink)
             kpis = harness.compute_kpis(rows)
             if not args.quiet:
                 for key, val in sorted(kpis.items()):

@@ -127,7 +127,7 @@ class ParamAction:
 class StepOutcome:
     cost_psi: float
     infeasible: bool
-    next_state_features: np.ndarray
+    row: int  # of the one cell (row, vnf) the request changed: the target, or the cloud
 
 
 @dataclass
@@ -376,10 +376,8 @@ class VnfEnv:
         self.cur: EpochTraffic | None = None
         self.epoch = 0
         self.layout = FeatureLayout(pool.k_servers, pool.n_vnfs)
-        # cost matrices, features and user count of the current state under
-        # the traffic snapshot _kept_cur (see _kept)
+        # cost matrices and user count of the state under traffic _kept_cur (see _kept)
         self._grid = None
-        self._features = None
         self._users = 0
         self._kept_cur = None
         self._rate_scale = max(traffic.mu_r + 3.0 * traffic.sigma_r, traffic.r_min)
@@ -428,37 +426,27 @@ class VnfEnv:
         elif out[flag]:
             out[flag] = (st.cpu[:, j] > 0).any()
 
-    def _moved_request(self, features: np.ndarray, vnf: int) -> np.ndarray:
-        """encode_state(vnf) from the features of another request on the same
-        state and traffic: a copy with the one-hot request slot moved."""
-        out = features.copy()
-        req = self.layout.request
-        out[req] = 0.0
-        out[req.start + vnf] = 1.0
-        return out
-
     def _admit_cloud(self, j: int):
         self.state.users[self.state.cloud, j] += 1
         book_cloud(self.state, self.specs[j], j)
 
     def _kept(self):
-        """The (latency, financial, sla, numerator) matrices, features and user
-        count _users of the current state, built once per traffic snapshot
-        (encode_state raises without one); apply_action keeps all three current."""
-        if self.cur is None or self._kept_cur is not self.cur:
-            self._features = self.encode_state(0)
+        """The (latency, financial, sla, numerator) matrices and user count _users
+        of the current state, built once per traffic snapshot; apply_action keeps both."""
+        if self.cur is None:
+            raise ValueError("no epoch traffic available; advance an epoch first")
+        if self._kept_cur is not self.cur:
             self._grid = cost_components(self.state, self.specs, self.costs,
                                          self.cur.cloud_rate)
             self._users = int(self.state.users.sum())
             self._kept_cur = self.cur
-        return self._grid, self._features
+        return self._grid
 
     def apply_action(self, vnf: int, action: ParamAction,
                      assign_user: bool = True) -> StepOutcome:
-        """Apply one placement decision; infeasible requests fall through to
-        the cloud at the worst training cost. The returned next-state
-        features are the base the next request's are copied from, so callers
-        must not write to them."""
+        """Apply and price one placement decision; infeasible requests fall
+        through to the cloud at the worst training cost. The outcome names the
+        row of the one cell (row, vnf) the request can have changed."""
         pool = self.pool
         if not 0 <= vnf < pool.n_vnfs:
             raise ValueError(f"unknown vnf index {vnf}")
@@ -467,7 +455,7 @@ class VnfEnv:
             raise ValueError(f"action target {t} outside 0..{pool.k_servers}")
         st = self.state
         # kept before this request changes the state; the refresh below follows it
-        (lat, fin, sla, num), features = self._kept()
+        lat, fin, sla, num = self._kept()
         infeasible = False
         if t == st.cloud:
             # offload carries no parameters; an idle visit leaves the cloud alone
@@ -491,8 +479,7 @@ class VnfEnv:
                 if assign_user:
                     self._admit_cloud(vnf)
 
-        # the one cell this request can change; a cell's costs and features
-        # read no other cell, except VNF vnf's deployed flag, which reads its column
+        # the one cell this request can change; a cell's costs read no other cell
         where = st.cloud if infeasible and assign_user else t
         lat[where, vnf], fin[where, vnf], sla[where, vnf], num[where, vnf] = cell_costs(
             st, self.specs[vnf], self.costs, self.cur.cloud_rate, where, vnf)
@@ -500,9 +487,7 @@ class VnfEnv:
         ic = float(num[where, vnf] / max(int(st.users[where, vnf]), 1))
         nc = float(num.sum() / max(self._users, 1))
         psi = 1.0 if infeasible else agent_cost(ic, nc, self.beta, self.gamma_max)
-        self._features = self._moved_request(features, vnf)
-        self._patch_features(self._features, where, vnf)
-        return StepOutcome(psi, infeasible, self._features)
+        return StepOutcome(psi, infeasible, where)
 
     def advance_epoch(self, policy, keep_snapshot: bool = False) -> EpochSummary:
         """Run one slot: sample traffic, serve every request (idle VNFs get a
@@ -520,15 +505,20 @@ class VnfEnv:
         order = self.rng_traffic.permutation(self.pool.n_vnfs)
 
         records = []
-        _, after = self._kept()
+        req = self.layout.request
+        after = self.encode_state(0)
         for j in order:
             j = int(j)
             has_user = bool(arrivals[j] > 0)
             for _ in range(max(int(arrivals[j]), 1)):
-                s = self._moved_request(after, j)
+                # encode_state(j): the last next state with the one-hot request slot moved
+                s = after.copy()
+                s[req] = 0.0
+                s[req.start + j] = 1.0
                 action = policy(s, j, self.state, has_user)
                 out = self.apply_action(j, action, has_user)
-                after = out.next_state_features
+                after = s.copy()
+                self._patch_features(after, out.row, j)
                 records.append(StepRecord(s, action, out.cost_psi, after,
                                           out.infeasible, has_user))
 
@@ -543,7 +533,7 @@ class VnfEnv:
     def _epoch_metrics(self, records) -> EpochMetrics:
         st = self.state
         k = self.pool.k_servers
-        (lat, fin, sla, num), _ = self._kept()
+        lat, fin, sla, num = self._kept()
         total_u = int(st.users.sum())
         du = max(total_u, 1)
         return EpochMetrics(

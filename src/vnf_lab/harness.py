@@ -5,9 +5,11 @@ comparisons on a shared traffic trace.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
+import math
 import operator
 import os
 from dataclasses import dataclass, asdict
@@ -136,6 +138,8 @@ def _build_section(cls, data: dict, path: str):
         types, what = _JSON_TYPES[fields[key]]
         if type(value) not in types:
             raise ConfigError(f"{path}: {key} takes {what}, not {value!r}")
+        if type(value) is float and not math.isfinite(value):  # json reads NaN, Infinity
+            raise ConfigError(f"{path}: {key} takes finite numbers, not {value!r}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -210,6 +214,8 @@ def check_seed(seed, source: str) -> int:
     """seed as an int >= 0, from an integer or, as the environment gives it, the
     text of one; anything else is refused naming where it came from."""
     try:
+        if isinstance(seed, bool):  # an int to Python, but no seed
+            raise TypeError
         value = int(seed) if isinstance(seed, str) else operator.index(seed)
     except (TypeError, ValueError):
         raise ConfigError(f"{source}: a seed must be an integer, not {seed!r}") from None
@@ -270,13 +276,23 @@ def metrics_row(m: EpochMetrics) -> str:
                     else format_float(getattr(m, f.name)) for f in METRIC_FIELDS)
 
 
-def _drive(env: VnfEnv, agent, epochs: int, learner: bool, sink=None,
-           metrics_every: int = 1):
-    """Run epochs, feeding transitions/updates to a learner; returns metrics."""
+def metrics_file(out_dir, name: str):
+    """out_dir/name, made and headed by CSV_HEADER; without out_dir, a context giving None."""
+    if out_dir is None:
+        return contextlib.nullcontext()
+    os.makedirs(out_dir, exist_ok=True)
+    fh = open(os.path.join(out_dir, name), "w")
+    fh.write(CSV_HEADER + "\n")
+    return fh
+
+
+def _drive(env: VnfEnv, agent, epochs: int, sink=None, metrics_every: int = 1):
+    """Run epochs and return their metrics; a learner not in eval mode stores and trains."""
+    learning = isinstance(agent, LearnerBase) and not agent.eval_mode
     rows = []
     for _ in range(epochs):
         summary = env.advance_epoch(agent.select)
-        if learner:
+        if learning:
             for rec in summary.records:
                 agent.store(rec.state, rec.action.target, (rec.action.d_cpu, rec.action.d_mem),
                             -rec.cost_psi, rec.next_state)
@@ -328,21 +344,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None,
     kind = cfg.agent["kind"]
     env = build_env(cfg, seed, stream=0)
     agent = build_agent(cfg, env, seed)
-    learner = isinstance(agent, LearnerBase)
-
-    metrics_path = None
-    sink = None
-    if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        metrics_path = os.path.join(out_dir, "metrics.csv")
-        sink = open(metrics_path, "w")
-        sink.write(CSV_HEADER + "\n")
-    try:
-        train_rows = _drive(env, agent, cfg.run.total_epochs, learner, sink,
-                            cfg.run.metrics_every)
-    finally:
-        if sink is not None:
-            sink.close()
+    with metrics_file(out_dir, "metrics.csv") as sink:
+        metrics_path = None if sink is None else sink.name
+        train_rows = _drive(env, agent, cfg.run.total_epochs, sink, cfg.run.metrics_every)
     if not quiet:
         print(f"[{kind}] seed {seed}: trained {cfg.run.total_epochs} epochs")
 
@@ -354,7 +358,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None,
                        compute_kpis(train_rows), compute_kpis(eval_rows),
                        metrics_path, None)
     if out_dir is not None:
-        if learner:
+        if isinstance(agent, LearnerBase):
             result.checkpoint_path = agent.save(
                 cfg.run.checkpoint_path or os.path.join(out_dir, "checkpoint.npz"))
         summary = {
@@ -385,7 +389,7 @@ def evaluate_agent(cfg: ExperimentConfig, agent, seed: int, epochs: int, sink=No
                               f"{got}, but the config's pool gives {want}")
         agent.set_eval(True)
     try:
-        return _drive(env, agent, epochs, learner=False, sink=sink)
+        return _drive(env, agent, epochs, sink)
     finally:
         if learner:
             agent.set_eval(False)
@@ -422,8 +426,9 @@ def compare(cfg: ExperimentConfig, agent_names, seeds=None, out_dir=None,
             acfg = acfgs[name]
             env = build_env(acfg, seed, stream=0)
             agent = build_agent(acfg, env, seed)
+            # baselines skip the training trace: running random there would move its draws
             if isinstance(agent, LearnerBase):
-                _drive(env, agent, acfg.run.total_epochs, True)
+                _drive(env, agent, acfg.run.total_epochs)
             rows = evaluate_agent(acfg, agent, seed, max(acfg.run.eval_epochs, 1))
             per_seed[name].append(compute_kpis(rows))
             for m in rows:

@@ -359,6 +359,10 @@ class LearnerBase:
             for key in ("state_dim", "n_targets", *spans, "cfg", "updates"):
                 if key not in meta:
                     raise ValueError(f"{path}: meta: no {key!r} key")
+            for key, low in (("state_dim", 1), ("n_targets", 1), ("updates", 0)):
+                if type(meta[key]) is not int or meta[key] < low:
+                    raise ValueError(f"{path}: meta: {key} takes integers >= {low}, "
+                                     f"not {meta[key]!r}")
             scale = meta["scale"] if "scale" in meta else (meta["span_cpu"], meta["span_mem"])
             try:
                 agent = cls(meta["state_dim"], meta["n_targets"], scale,
@@ -371,7 +375,7 @@ class LearnerBase:
                 raise ValueError(f"{path}: {exc}") from exc
             for name in cls._ADAMS:
                 getattr(agent, name).t = int(data[f"{name}.t"])
-            agent.updates = int(meta["updates"])
+            agent.updates = meta["updates"]
         return agent
 
 

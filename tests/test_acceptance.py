@@ -189,7 +189,7 @@ def trained_runs():
     for seed in SEEDS:
         env = harness.build_env(cfg, seed, stream=0)
         agent = harness.build_agent(cfg, env, seed)
-        rows = harness._drive(env, agent, cfg.run.total_epochs, True)
+        rows = harness._drive(env, agent, cfg.run.total_epochs)
         runs[seed] = (agent, rows)
     return cfg, runs, time.time() - start
 
@@ -286,7 +286,7 @@ def test_full_scale_cost_trends_negative():
         cfg.run, seed=0, total_epochs=60_000, eval_epochs=1000))
     env = harness.build_env(cfg, 0, stream=0)
     agent = harness.build_agent(cfg, env, 0)
-    rows = harness._drive(env, agent, cfg.run.total_epochs, True)
+    rows = harness._drive(env, agent, cfg.run.total_epochs)
     window = cfg.run.smoothing_window
     nc = np.array([m.network_cost for m in rows])
     smooth = np.convolve(nc, np.ones(window) / window, mode="valid")

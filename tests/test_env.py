@@ -208,8 +208,9 @@ class TestEncodeState:
 
 
 class TestNextStateFeatures:
-    """apply_action patches the previous features in place of a fresh encode;
-    each request kind must leave them equal to encode_state after it."""
+    """advance_epoch patches a copy of the request's features at the cell the
+    request changed (StepOutcome.row) in place of a fresh encode; each
+    request kind must leave them equal to encode_state after it."""
 
     # (label, vnf, action, assign_user, VNF's deployed flag after the request)
     REQUESTS = [
@@ -228,17 +229,48 @@ class TestNextStateFeatures:
     def test_each_request_kind_matches_a_fresh_encode(self):
         env = make_env()
         env.cur = EpochTraffic(np.array([3, 2, 1]), 9.5)
-        flags = env.layout.deployed
-        outputs = []
+        flags, req = env.layout.deployed, env.layout.request
+        after = env.encode_state(0)
+        handed = []
         for label, vnf, action, assign_user, flag in self.REQUESTS:
+            s = after.copy()  # as advance_epoch moves the request slot
+            s[req] = 0.0
+            s[req.start + vnf] = 1.0
+            assert np.array_equal(s, env.encode_state(vnf)), label
             out = env.apply_action(vnf, action, assign_user)
-            got = out.next_state_features
-            assert np.array_equal(got, env.encode_state(vnf)), label
-            assert got[flags][vnf] == flag, label
-            outputs.append((got, got.copy()))
-        # later requests write into new arrays, never into returned ones
-        assert all(np.array_equal(a, b) and a is not outputs[-1][0] for a, b in outputs[:-1])
+            assert out.row == (3 if out.infeasible and assign_user else action.target), label
+            after = s.copy()
+            env._patch_features(after, out.row, vnf)
+            assert np.array_equal(after, env.encode_state(vnf)), label
+            assert after[flags][vnf] == flag, label
+            handed += [(s, s.copy()), (after, after.copy())]
+        # each request's arrays are new; none is written after it is handed out
+        assert all(np.array_equal(a, b) for a, b in handed)
+        assert len({id(a) for a, _ in handed}) == len(handed)
         assert env.state.users[3, 1] == 2 and env.state.users[1, 0] == 1
+
+    def test_records_hold_what_each_request_saw(self):
+        """A record's state is what its policy call got and its next state what
+        encode_state gave right after the request, however many follow it."""
+        env = make_env()
+        agent = RandomAgent(env.pool, 1)
+        apply_action, seen = env.apply_action, []
+
+        def policy(features, vnf, state, has_user):
+            seen.append(features.copy())
+            return agent.select(features, vnf, state, has_user)
+
+        def checked_apply(vnf, action, assign_user=True):
+            out = apply_action(vnf, action, assign_user)
+            seen.append(env.encode_state(vnf))
+            return out
+
+        env.apply_action = checked_apply
+        records = [r for _ in range(4) for r in env.advance_epoch(policy).records]
+        held = [a for r in records for a in (r.state, r.next_state)]
+        assert len(held) == len(seen) > 8
+        assert all(np.array_equal(a, b) for a, b in zip(held, seen))
+        assert len({id(a) for a in held}) == len(held)
 
 
 class TestAdvanceEpoch:

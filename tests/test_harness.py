@@ -201,6 +201,8 @@ class TestSeedResolution:
     def test_seeds_must_be_integers(self):
         with pytest.raises(ConfigError, match="^--seed: a seed must be an integer, not 1.7$"):
             resolve_seed(desk_cfg(), 1.7)
+        with pytest.raises(ConfigError, match="^--seed: a seed must be an integer, not True$"):
+            resolve_seed(desk_cfg(), True)
         assert resolve_seed(desk_cfg(), np.int64(4)) == 4
 
 
@@ -345,6 +347,26 @@ class TestEvaluateAgent:
         assert len(rows) == 5
 
 
+class TestDrive:
+    def test_only_a_learner_in_training_stores_and_trains(self):
+        cfg = desk_cfg(agent={"kind": "pat", "warmup_size": 16, "batch_size": 8,
+                              "buffer_capacity": 512})
+        env = harness.build_env(cfg, 3)
+        agent = harness.build_agent(cfg, env, 3)
+        agent.set_eval(True)
+        rows = harness._drive(env, agent, 6)
+        assert agent.buffer.size == 0 and agent.updates == 0
+        assert [m.eps for m in rows] == [0.0] * 6
+        agent.set_eval(False)
+        rows = harness._drive(env, agent, 6)
+        assert agent.buffer.size > 16 and agent.updates > 0
+        assert rows[-1].eps == agent.eps > 0.0
+        # a baseline has no store or train_step for _drive to call
+        greedy = GreedyAgent(cfg.pool, cfg.vnfs)
+        assert not hasattr(greedy, "store")
+        assert len(harness._drive(env, greedy, 3)) == 3
+
+
 class TestCompare:
     def test_agents_see_the_same_arrival_trace(self):
         cfg = desk_cfg()
@@ -385,6 +407,9 @@ class TestCompare:
         with pytest.raises(ConfigError,
                            match=r"^compare: seeds\[1\]: a seed must be an integer, not 1.7$"):
             compare(desk_cfg(), ["greedy"], seeds=[2, 1.7])
+        with pytest.raises(ConfigError,
+                           match=r"^compare: seeds\[0\]: a seed must be an integer, not True$"):
+            compare(desk_cfg(), ["greedy"], seeds=[True])
         assert calls == []
 
 
@@ -528,15 +553,26 @@ class TestCli:
 
     @pytest.mark.parametrize("section, key, value, what", [
         ("run", "checkpoint_path", 5, "strings or null"), ("pool", "rho_max", True, "numbers"),
-        ("agent", "lr", True, "numbers"), ("costs", "w1", "2", "numbers")])
+        ("agent", "lr", True, "numbers"), ("costs", "w1", "2", "numbers"),
+        ("pool", "rho_max", float("nan"), "finite numbers"),
+        ("agent", "lr", float("nan"), "finite numbers"),
+        ("costs", "w1", float("nan"), "finite numbers"),
+        ("traffic", "mu_r", float("inf"), "finite numbers"),
+        ("vnfs", "mu_arr", float("-inf"), "finite numbers")])
     def test_keys_take_only_the_json_values_of_their_type(self, tmp_path, capsys,
                                                           section, key, value, what):
         doc = desk_doc(total_epochs=2, eval_epochs=1)
-        doc.setdefault(section, {})[key] = value
+        if section == "vnfs":
+            doc["vnfs"] = [dataclasses.asdict(v) for v in default_vnfs(3)]
+            doc["vnfs"][1][key] = value
+            section = "vnfs[1]"
+        else:
+            doc.setdefault(section, {})[key] = value
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(doc))  # nan and inf are written as NaN, Infinity, -Infinity
         assert cli.main(["validate-config", "--config", str(path)]) == 1
-        assert capsys.readouterr().err.startswith(f"error: {section}: {key} takes {what}, ")
+        err = capsys.readouterr().err
+        assert err == f"error: {section}: {key} takes {what}, not {value!r}\n"
 
     def test_exported_defaults_validate(self, tmp_path, capsys):
         """The shipped catalogue writes integers into float fields; they validate."""
@@ -600,8 +636,18 @@ class TestCli:
             assert capsys.readouterr().err == f"error: {other}: meta: {err}\n"
         out = tmp_path / "out"
         assert cli.main(["train", "--config", path, "--out", str(out), "--quiet"]) == 0
-        with np.load(out / "checkpoint.npz") as data:  # one net's arrays left out
-            np.savez(other, **{k: data[k] for k in data.files if not k.startswith("critic_2.")})
+        with np.load(out / "checkpoint.npz") as data:
+            arrays = {k: data[k] for k in data.files}
+        meta = json.loads(str(arrays["meta"]))
+        for key, low in (("state_dim", 1), ("n_targets", 1), ("updates", 0)):
+            for value in ([1], "x", -4, low - 1, 2.5, True, None):
+                np.savez(other, **{**arrays, "meta": np.array(json.dumps({**meta, key: value}))})
+                assert cli.main(["eval", "--config", path, "--checkpoint", str(other),
+                                 "--quiet"]) == 1
+                assert capsys.readouterr().err == \
+                    f"error: {other}: meta: {key} takes integers >= {low}, not {value!r}\n"
+        # one net's arrays left out
+        np.savez(other, **{k: v for k, v in arrays.items() if not k.startswith("critic_2.")})
         assert cli.main(["eval", "--config", path, "--checkpoint", str(other), "--quiet"]) == 1
         assert capsys.readouterr().err == \
             f"error: {other}: critic_2.w0: not in the checkpoint\n"

@@ -146,7 +146,7 @@ class TestReplayBuffer:
         cfg = harness.config_from_dict(doc)
         env = harness.build_env(cfg, 11)
         agent = harness.build_agent(cfg, env, 11)
-        harness._drive(env, agent, 100, learner=True)
+        harness._drive(env, agent, 100)
         buf = agent.buffer
         assert agent.updates > 0 and buf.size == buf.capacity  # sampled and wrapped
         assert (buf.links[:buf.size, 0] == np.arange(buf.size)).all()
