@@ -352,6 +352,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None,
 
     eval_rows = []
     if cfg.run.eval_epochs > 0:
+        if not isinstance(agent, LearnerBase):  # a baseline is evaluated as built, as in compare
+            agent = build_agent(cfg, env, seed)
         eval_rows = evaluate_agent(cfg, agent, seed, cfg.run.eval_epochs)
 
     result = RunResult(seed, train_rows, eval_rows,

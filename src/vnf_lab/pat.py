@@ -72,51 +72,45 @@ class ReplayBuffer:
     action index, (d_cpu, d_mem), reward = -training cost, next state).
 
     Each state is stored once. Row i's next state is read back as row i's
-    own state with the row's patch of PATCH entries written over it, which
-    holds when the two differ in at most PATCH entries, compared by bit
-    pattern (so -0.0 and NaN round-trip): a request changes only its cell's
-    users, CPU and memory and its VNF's deployed flag. Any other next state,
-    which only callers outside the env make, is kept whole at row
-    capacity + i of the row table. A row's link names the row its next
-    state is read from, so one gather reads both kinds."""
+    own state with the row's patch of PATCH entries written over it, so a
+    next state may differ from its state in at most PATCH entries, compared
+    by bit pattern (so -0.0 and NaN round-trip): a request changes only its
+    cell's users, CPU and memory and its VNF's deployed flag. add refuses any
+    other next state with a ValueError, before it writes to the ring."""
 
     PATCH = 4  # entries one env request changes, as above
 
     def __init__(self, capacity: int, state_dim: int):
         self.capacity = capacity
-        self.rows = np.zeros((2 * capacity, state_dim))  # states, then whole next states
-        self.states = self.rows[:capacity]
+        self.states = np.zeros((capacity, state_dim))
         # the per-row arrays below are written before any read of their row,
         # so they are left unzeroed: zeroing reused heap memory touches it all
         self.actions = np.empty(capacity, dtype=np.int64)
         self.params = np.empty((capacity, 2))
         self.rewards = np.empty(capacity)
-        # where each row's next state is read: the row of self.rows, then the
-        # patch's PATCH positions and the bits of their PATCH values
-        self.links = np.empty((capacity, 1 + 2 * self.PATCH), dtype=np.int64)
-        self._next = np.empty(state_dim)  # the next state being added, compared by its bits
-        self._next_bits = self._next.view(np.int64)
-        self._state_bits = self.states.view(np.int64)
+        # each row's patch: PATCH positions, then the bits of their PATCH values
+        self.patches = np.empty((capacity, 2 * self.PATCH), dtype=np.int64)
+        self._pair = np.empty((2, state_dim))  # the state and next state being added
+        self._pair_bits = self._pair.view(np.int64)
         self.size = 0
         self.cursor = 0
 
     def add(self, state, action_index: int, params, reward: float, next_state):
+        pair, (before, after) = self._pair, self._pair_bits
+        pair[0] = state
+        pair[1] = next_state
+        diff = (after != before).nonzero()[0].tolist()
+        if len(diff) > self.PATCH:
+            raise ValueError(f"next state differs from its state in {len(diff)} entries; "
+                             f"the replay ring stores at most {self.PATCH}")
         i = self.cursor
-        self.states[i] = state
+        self.states[i] = pair[0]
         self.actions[i] = action_index
         self.params[i] = params
         self.rewards[i] = reward
-        bits = self._next_bits
-        self._next[:] = next_state
-        diff = (bits != self._state_bits[i]).nonzero()[0].tolist()
-        row = i
-        if len(diff) > self.PATCH:
-            row = self.capacity + i
-            self.rows[row] = self._next
-            diff = []
         p, q, r, s = (diff * self.PATCH or [0] * self.PATCH)[:self.PATCH]  # padded by repeats
-        v = bits.item
-        self.links[i] = row, p, q, r, s, v(p), v(q), v(r), v(s)
+        v = after.item
+        self.patches[i] = p, q, r, s, v(p), v(q), v(r), v(s)
         self.cursor = (i + 1) % self.capacity
         if self.size < self.capacity:
             self.size += 1
@@ -125,13 +119,20 @@ class ReplayBuffer:
         if self.size == 0:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self.size, size=batch_size)
-        links = np.take(self.links, idx, axis=0)
-        next_states = np.take(self.rows, links[:, 0], axis=0)
-        starts = np.arange(batch_size)[:, None] * self.rows.shape[1]  # flat, per batch row
-        np.put(next_states.view(np.int64), starts + links[:, 1:1 + self.PATCH],
-               links[:, 1 + self.PATCH:])
-        return (np.take(self.states, idx, axis=0), np.take(self.actions, idx),
-                np.take(self.params, idx, axis=0), np.take(self.rewards, idx), next_states)
+        states = np.take(self.states, idx, axis=0)
+        next_states = states.copy()
+        patches = np.take(self.patches, idx, axis=0)
+        starts = np.arange(batch_size)[:, None] * self.states.shape[1]  # flat, per batch row
+        np.put(next_states.view(np.int64), starts + patches[:, :self.PATCH],
+               patches[:, self.PATCH:])
+        return (states, np.take(self.actions, idx), np.take(self.params, idx, axis=0),
+                np.take(self.rewards, idx), next_states)
+
+
+def mean_value_input_grad(critic: nn.Mlp, x: np.ndarray) -> np.ndarray:
+    """The gradient of the critic's batch-mean value with respect to its input x."""
+    _, cache = nn.forward_cached(critic, x)
+    return nn.input_grad(critic, cache, np.full((x.shape[0], 1), 1.0 / x.shape[0]))
 
 
 def ascend_param_actor(actor: nn.Mlp, adam: nn.AdamState, critic: nn.Mlp,
@@ -141,14 +142,10 @@ def ascend_param_actor(actor: nn.Mlp, adam: nn.AdamState, critic: nn.Mlp,
 
     param_scale is the box bound the critic's param inputs are normalized by;
     the returned chain rule stays in raw units."""
-    b = states.shape[0]
     xp = np.concatenate([states, onehots], axis=1)
     p, cache_a = nn.forward_cached(actor, xp)
     xc = np.concatenate([states, onehots, p / param_scale], axis=1)
-    _, cache_c = nn.forward_cached(critic, xc)
-    gout = np.full((b, 1), 1.0 / b)
-    gin = nn.input_grad(critic, cache_c, gout)
-    gp = gin[:, xp.shape[1]:] / param_scale
+    gp = mean_value_input_grad(critic, xc)[:, xp.shape[1]:] / param_scale
     adam.step(actor, nn.backward(actor, cache_a, -gp))
     return p
 
@@ -269,6 +266,9 @@ class LearnerBase:
         self.eval_mode = bool(flag)
 
     def store(self, state, action_index: int, params, reward: float, next_state):
+        """Add one transition to replay. next_state may differ from state in
+        at most ReplayBuffer.PATCH entries, as every env transition does;
+        any other raises ValueError and stores nothing."""
         self.buffer.add(state, action_index, params, reward, next_state)
 
     def _clipped_noise(self, shape) -> np.ndarray:
@@ -427,16 +427,12 @@ class PatAgent(LearnerBase):
         """Ascend the first critic: deltas through the parameter head, target
         scores through a softmax relaxation at the stored deltas."""
         states, actions, params, _, _ = batch
-        b = states.shape[0]
         oh = self._target_rows[actions]
         ascend_param_actor(self.actor_param, self.adam_actor_param,
                            self.critic_1, states, oh, param_scale=self.p_feat)
         scores, cache_a = nn.forward_cached(self.actor_action, states)
         soft = nn.softmax(scores)
-        xc = self._critic_input(states, soft, params)
-        _, cache_c = nn.forward_cached(self.critic_1, xc)
-        gout = np.full((b, 1), 1.0 / b)
-        gin = nn.input_grad(self.critic_1, cache_c, gout)
+        gin = mean_value_input_grad(self.critic_1, self._critic_input(states, soft, params))
         ga = gin[:, self.state_dim:self.state_dim + self.n_targets]
         gscores = soft * (ga - (ga * soft).sum(axis=1, keepdims=True))
         self.adam_actor_action.step(self.actor_action,

@@ -11,9 +11,11 @@ from vnf_lab.baselines import (BaselineRlConfig, CloudAgent, DdpgPairAgent,
                                RandomAgent, dqn_update)
 from reference import one_hot
 from vnf_lab.env import AllocationState, ParamAction, PoolConfig, VnfSpec, qos, resource_range
+from vnf_lab.pat import ReplayBuffer
 
 STATE_DIM = 12
 N_TARGETS = 4
+PATCH = ReplayBuffer.PATCH
 
 SPEC0 = VnfSpec(0, 3, 5, 4, 6, 5, 3, 35, 70, 2, 2.0, 1.5)
 SPEC1 = VnfSpec(1, 2, 3, 2, 4, 4, 2, 36, 80, 2, 2.5, 0.2)
@@ -34,8 +36,10 @@ def fill_learner(agent, rng, n, grid=None):
             p = np.array(grid.delta(int(rng.integers(grid.n_cells))))
         else:
             p = rng.uniform(-50, 50, 2)
-        agent.store(rng.normal(0, 1, STATE_DIM), a, p, float(rng.uniform(-1, 1)),
-                    rng.normal(0, 1, STATE_DIM))
+        state = rng.normal(0, 1, STATE_DIM)
+        next_state = state.copy()  # with PATCH entries redrawn, as replay takes at most that many
+        next_state[rng.choice(STATE_DIM, PATCH, replace=False)] = rng.normal(0, 1, PATCH)
+        agent.store(state, a, p, float(rng.uniform(-1, 1)), next_state)
 
 
 class TestGreedy:

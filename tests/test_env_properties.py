@@ -5,18 +5,20 @@ and refreshes cell by cell equal a fresh cost_components of the state, its
 kept user count equals the state's, both the features a request is given
 and the next-state features recorded after it equal a fresh encode_state, and
 a next state differs from its state only where the request's cell and VNF
-feed the features."""
+feed the features, so replay stores every transition."""
 
+import collections
 import dataclasses
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from reference import check_oracle, oracle_figures
+from reference import ReplayBufferReference, check_oracle, oracle_figures
 from vnf_lab.baselines import GreedyAgent, RandomAgent
 from vnf_lab.env import (CostParams, PoolConfig, TrafficConfig, VnfEnv, agent_cost,
                          cost_components)
 from vnf_lab.harness import default_vnfs
+from vnf_lab.pat import ReplayBuffer
 
 CATALOGUE = default_vnfs(10)
 EPOCHS = 8
@@ -127,3 +129,40 @@ def test_invariants_hold_on_every_request_and_epoch(scenario):
         want = oracle_figures(served, specs, env.costs, rate, pool.rho_max, pool.eta_max)
         got = {key: getattr(summary.metrics, key) for key in want}
         assert check_oracle(got, want, f"{kind} epoch {summary.metrics.epoch}") == []
+
+
+def test_every_transition_fits_the_replay_ring():
+    """Every record's next state differs from its state in at most
+    ReplayBuffer.PATCH entries, compared by bit pattern, and ReplayBuffer.add
+    takes each record, which the ring then samples bitwise as the ring as
+    first written does. Infeasible fall-throughs, idle visits, each epoch's
+    last record and next states that use the whole patch are among them."""
+    seen = collections.Counter()
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(scenarios())
+    def check(scenario):
+        pool, specs, traffic, kind, seed = scenario
+        env = VnfEnv(pool, specs, CostParams(), traffic, seed=seed)
+        agent = GreedyAgent(pool, specs) if kind == "greedy" else RandomAgent(pool, seed)
+        for _ in range(EPOCHS):
+            records = env.advance_epoch(agent.select).records
+            got = ReplayBuffer(len(records), env.feature_length)
+            want = ReplayBufferReference(len(records), env.feature_length)
+            for r in records:
+                changed = int((r.next_state.view(np.int64) != r.state.view(np.int64)).sum())
+                assert changed <= ReplayBuffer.PATCH
+                for ring in (got, want):
+                    ring.add(r.state, r.action.target, (r.action.d_cpu, r.action.d_mem),
+                             -r.cost_psi, r.next_state)
+                seen["infeasible"] += r.infeasible
+                seen["idle"] += not r.had_user
+                seen["whole patch"] += changed == ReplayBuffer.PATCH
+            seen["epoch end"] += 1
+            b = 4 * len(records)
+            for g, w in zip(got.sample(b, np.random.default_rng(seed)),
+                            want.sample(b, np.random.default_rng(seed))):
+                assert (g.view(np.int64) == w.view(np.int64)).all()
+
+    check()
+    assert min(seen[case] for case in ("infeasible", "idle", "whole patch", "epoch end")) > 0

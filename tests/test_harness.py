@@ -286,6 +286,13 @@ class TestRunExperiment:
         last_eps = float(lines[-1].split(",")[10])
         assert last_eps < 0.8  # the schedule moved, so updates really ran
 
+    def test_baseline_is_evaluated_as_built_as_in_compare(self):
+        """Training epochs move the random agent's draws; evaluation starts
+        from the agent as built, so its KPIs equal compare's row, which skips
+        training."""
+        cfg = with_agent(desk_cfg(total_epochs=20, eval_epochs=20), "random")
+        assert run_experiment(cfg).eval_kpis == compare(cfg, ["random"]).per_seed["random"][0]
+
     def test_checkpoint_path_override(self, tmp_path):
         agent = {"kind": "pat", "warmup_size": 8, "batch_size": 8,
                  "buffer_capacity": 512}
@@ -764,9 +771,12 @@ env = harness.build_env(cfg, 0)
 s, a = env.feature_length, env.n_targets
 agent = PatAgent(s, a, (50.0, 50.0), PatConfig(warmup_size=256, buffer_capacity=1000), seed=0)
 rng = np.random.default_rng(1)
+k = agent.buffer.PATCH
 for _ in range(300):
-    agent.store(rng.normal(0, 1, s), int(rng.integers(a)), rng.uniform(-50, 50, 2),
-                -rng.random(), rng.normal(0, 1, s))
+    state = rng.normal(0, 1, s)
+    next_state = state.copy()  # with k entries redrawn, as replay takes at most that many
+    next_state[rng.choice(s, k, replace=False)] = rng.normal(0, 1, k)
+    agent.store(state, int(rng.integers(a)), rng.uniform(-50, 50, 2), -rng.random(), next_state)
 for _ in range(20):
     agent.train_step()
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt

@@ -36,9 +36,14 @@ def random_batch(rng, b=8):
 
 
 def fill_buffer(agent, rng, n):
+    """Store n random transitions, each next state its state with PATCH
+    entries redrawn, as replay takes at most that many changes."""
     states, actions, params, rewards, next_states = random_batch(rng, n)
     for i in range(n):
-        agent.store(states[i], int(actions[i]), params[i], float(rewards[i]), next_states[i])
+        pos = rng.choice(STATE_DIM, ReplayBuffer.PATCH, replace=False)
+        next_state = states[i].copy()
+        next_state[pos] = next_states[i, pos]
+        agent.store(states[i], int(actions[i]), params[i], float(rewards[i]), next_state)
 
 
 def energize(net, rng, std=0.3):
@@ -60,7 +65,7 @@ def replay_scripts(draw):
     is drawn one of three ways: its own state with 0-4 entries changed, its
     own state with 5 or all entries changed, or the following added state.
     Changes that flip a sign bit (0.0 to -0.0, one NaN to another) are among
-    them."""
+    them. Each add carries its way."""
     capacity = draw(st.integers(5, 7))
     n = draw(st.integers(1, 40))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -78,12 +83,17 @@ def replay_scripts(draw):
                 bits ^= np.int64(-2**63)  # the sign bit
             else:
                 bits[0] = np.float64(rng.normal()).view(np.int64)
-        ops.append(("add", states[t].copy(), int(rng.integers(4)), rng.normal(0, 1, 2),
+        ops.append(("add", way, states[t].copy(), int(rng.integers(4)), rng.normal(0, 1, 2),
                     float(rng.normal()), next_state))
         if draw(st.booleans()):
             ops.append(("sample", draw(st.integers(1, capacity))))
     ops.append(("sample", capacity))
     return capacity, ops, seed
+
+
+def ring_arrays(buf):
+    """Copies of every array of a ReplayBuffer."""
+    return [a.copy() for a in (buf.states, buf.actions, buf.params, buf.rewards, buf.patches)]
 
 
 class TestReplayBuffer:
@@ -110,35 +120,51 @@ class TestReplayBuffer:
     @settings(max_examples=150, deadline=None)
     @given(replay_scripts())
     def test_samples_equal_the_two_array_ring_bitwise(self, script):
-        """Next states that differ from their own state in 0-4 entries, in 5
-        or all entries, or that are the following state, signed zeros and
-        NaNs among them, in rings of 5-7 rows that wrap, sampled at any
-        point, even straight after an add, by a caller that reuses its
-        next_state array: every sampled array and the rng state equal those
-        of the ring as first written."""
+        """Next states that differ from their own state in 0-4 entries,
+        signed zeros and NaNs among them, in rings of 5-7 rows that wrap,
+        sampled at any point, even straight after an add, by a caller that
+        reuses its next_state array: every sampled array and the rng state
+        equal those of the ring as first written. A next state that differs
+        in more entries (5 or all of them, or the following state when it
+        does) is refused with a ValueError that leaves every array, the size
+        and the cursor as they were, and the reference ring skips it."""
         capacity, ops, seed = script
         got = ReplayBuffer(capacity, REPLAY_DIM)
         want = reference.ReplayBufferReference(capacity, REPLAY_DIM)
         rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
         for op in ops:
-            if op[0] == "sample":
+            if op[0] == "sample" and want.size == 0:  # every add so far was refused
+                for ring, rng in ((got, rng_got), (want, rng_want)):
+                    with pytest.raises(ValueError, match="empty"):
+                        ring.sample(op[1], rng)
+            elif op[0] == "sample":
                 for g, w in zip(got.sample(op[1], rng_got), want.sample(op[1], rng_want)):
                     assert g.dtype == w.dtype
                     assert (g.view(np.int64) == w.view(np.int64)).all()
             else:
-                _, state, action, params, reward, next_state = op
-                for ring in (got, want):
-                    ring.add(state, action, params, reward, next_state)
+                _, way, state, action, params, reward, next_state = op
+                changed = int((next_state.view(np.int64) != state.view(np.int64)).sum())
+                assert (changed > ReplayBuffer.PATCH) == (way == "whole") or way == "following"
+                if changed > ReplayBuffer.PATCH:
+                    before = ring_arrays(got)
+                    with pytest.raises(ValueError, match=f"in {changed} entries"):
+                        got.add(state, action, params, reward, next_state)
+                    for a, b in zip(ring_arrays(got), before):
+                        assert (a.view(np.int64) == b.view(np.int64)).all()
+                else:
+                    for ring in (got, want):
+                        ring.add(state, action, params, reward, next_state)
                 next_state[:] = 7.0  # the caller reuses its array
             assert got.size == want.size and got.cursor == want.cursor
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
     @pytest.mark.parametrize("kind", ["pat", "ddqn", "ddpg"])
-    def test_desk_training_keeps_no_whole_row(self, kind):
+    def test_desk_training_stores_every_transition(self, kind):
         """The env changes at most ReplayBuffer.PATCH entries per request, so
-        over a desk train that wraps the ring and samples from it every
-        stored next state is its own row patched: each row links to itself
-        and the whole-row half of the table is never written."""
+        a desk train that wraps the ring and samples from it stores every
+        transition the env makes: the ring holds the last capacity of them,
+        every array and each patched next state bitwise those of the ring as
+        first written fed the env's records."""
         doc = {"pool": {"k_servers": 3, "n_vnfs": 3},
                "agent": {"kind": kind, "warmup_size": 300, "batch_size": 32,
                          "buffer_capacity": 500},
@@ -146,11 +172,29 @@ class TestReplayBuffer:
         cfg = harness.config_from_dict(doc)
         env = harness.build_env(cfg, 11)
         agent = harness.build_agent(cfg, env, 11)
+        advance, made = env.advance_epoch, []
+
+        def advance_epoch(policy):
+            summary = advance(policy)
+            made.extend(summary.records)
+            return summary
+
+        env.advance_epoch = advance_epoch
         harness._drive(env, agent, 100)
+        want = reference.ReplayBufferReference(500, env.feature_length)
+        for rec in made:
+            want.add(rec.state, rec.action.target, (rec.action.d_cpu, rec.action.d_mem),
+                     -rec.cost_psi, rec.next_state)
         buf = agent.buffer
-        assert agent.updates > 0 and buf.size == buf.capacity  # sampled and wrapped
-        assert (buf.links[:buf.size, 0] == np.arange(buf.size)).all()
-        assert not buf.rows[buf.capacity:].any()
+        assert agent.updates > 0 and len(made) > buf.capacity  # sampled and wrapped
+        assert buf.size == want.size and buf.cursor == want.cursor
+        next_states = buf.states.copy()
+        for row, patch in zip(next_states, buf.patches):
+            row.view(np.int64)[patch[:buf.PATCH]] = patch[buf.PATCH:]
+        for g, w in ((buf.states, want.states), (buf.actions, want.actions),
+                     (buf.params, want.params), (buf.rewards, want.rewards),
+                     (next_states, want.next_states)):
+            assert (g.view(np.int64) == w.view(np.int64)).all()
 
 
 class TestSelect:
