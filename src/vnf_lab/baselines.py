@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import ParamAction, PoolConfig, resource_range
-from .pat import HIDDEN, LearnerBase, PatConfig, ascend_param_actor, regress_critic
+from .pat import DTYPE, HIDDEN, LearnerBase, PatConfig, ascend_param_actor, regress_critic
 from . import nn
 
 
@@ -167,11 +167,11 @@ class DdqnPairAgent(_PairedLearner):
 
     def _build(self, s: int, a: int):
         self.grid = DiscretizedGrid(self.cfg.resolution, *self._box)
-        self._init_nets(server_q=nn.Mlp((s, *HIDDEN, a)),
-                        param_q=nn.Mlp((s, *HIDDEN, self.grid.n_cells)))
+        self._init_nets(server_q=self._net(s, *HIDDEN, a),
+                        param_q=self._net(s, *HIDDEN, self.grid.n_cells))
 
     def select(self, features, vnf: int = 0, state=None, has_user: bool = True) -> ParamAction:
-        s = np.asarray(features, dtype=np.float64)
+        s = np.asarray(features, dtype=DTYPE)
         explore = not self.eval_mode
         a = self._eps_greedy(self.server_q, s, explore)
         if a == self.cloud_action:
@@ -196,12 +196,12 @@ class DdpgPairAgent(_PairedLearner):
     _ADAMS = {"adam_server": "server_q", "adam_actor": "actor", "adam_critic": "critic"}
 
     def _build(self, s: int, a: int):
-        self._init_nets(server_q=nn.Mlp((s, *HIDDEN, a)),
-                        actor=nn.Mlp((s + a, *HIDDEN, 2), head_scale=self.scale),
-                        critic=nn.Mlp((s + a + 2, *HIDDEN, 1)))
+        self._init_nets(server_q=self._net(s, *HIDDEN, a),
+                        actor=self._net(s + a, *HIDDEN, 2, scaled=True),
+                        critic=self._net(s + a + 2, *HIDDEN, 1))
 
     def select(self, features, vnf: int = 0, state=None, has_user: bool = True) -> ParamAction:
-        s = np.asarray(features, dtype=np.float64)
+        s = np.asarray(features, dtype=DTYPE)
         explore = not self.eval_mode
         return self._actor_step(self.actor, s, self._eps_greedy(self.server_q, s, explore),
                                 explore)

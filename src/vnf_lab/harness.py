@@ -418,8 +418,12 @@ def compare(cfg: ExperimentConfig, agent_names, seeds=None, out_dir=None,
         [check_seed(s, f"compare: seeds[{i}]") for i, s in enumerate(seeds)]
     if not seeds:
         raise ConfigError("compare: need at least one seed")
-    # every agent's config is built and checked before any job runs
+    # every agent's config is built and checked before any job runs; each is
+    # priced by cfg's block, so the agents' mean_reward share one scale
+    pricing = {key: cfg.agent[key] for key in ("beta", "gamma_max") if key in cfg.agent}
     acfgs = {name: with_agent(cfg, name) for name in names}
+    acfgs = {name: dataclasses.replace(acfg, agent={**acfg.agent, **pricing})
+             for name, acfg in acfgs.items()}
     per_seed = {name: [] for name in names}
     long_rows = []
     long_keys = tuple(k for k in KPI_KEYS if k != "active_users")

@@ -3,8 +3,11 @@ with cached activations for training batches, exact backprop (weight gradients i
 backward, the input gradient in input_grad), Adam, soft target blending,
 checkpoints.
 
-Everything is float64 numpy. A net's parameters, its gradient and its Adam
-moments are vectors of one layout, whose layers are views (layer_views).
+A net computes in the dtype it is built with (float64 by default; the
+learners build float32 nets), and every function here follows the dtype of
+its inputs, so a net fed arrays of its own dtype never promotes. A net's
+parameters, its gradient and its Adam moments are vectors of one layout,
+whose layers are views (layer_views).
 Hidden layers use leaky ReLU (slope 0.01); the output head is linear or tanh
 scaled componentwise. Adam and the soft update work in place on whole vectors
 but keep the textbook's operations in their order: the plain formulas' bits.
@@ -37,17 +40,18 @@ def layer_views(sizes, flat):
 
 class Mlp:
     """Fully connected net. sizes = (n_in, h1, ..., n_out); params is one
-    vector, zero until initialized, and weights and biases are its layer
-    views. Write parameters through the views, never rebind them."""
+    vector of dtype, zero until initialized, and weights and biases are its
+    layer views. Write parameters through the views, never rebind them."""
 
-    def __init__(self, sizes, head_scale=None):
+    def __init__(self, sizes, head_scale=None, dtype=np.float64):
         sizes = tuple(int(s) for s in sizes)
         if len(sizes) < 2:
             raise ValueError("Mlp needs at least input and output sizes")
         self.sizes = sizes
-        self.params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:])))
+        self.params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:])),
+                               dtype=dtype)
         self.weights, self.biases = layer_views(sizes, self.params)
-        self.head_scale = None if head_scale is None else np.array(head_scale, dtype=np.float64)
+        self.head_scale = None if head_scale is None else np.array(head_scale, dtype=dtype)
         if self.head_scale is not None and self.head_scale.shape != (sizes[-1],):
             raise ValueError("head_scale must match the output width")
 
@@ -62,7 +66,8 @@ class Mlp:
 
 def gaussian_init(mlp: Mlp, rng: np.random.Generator, std: float = 1e-2):
     """Draw weights via the fan-scaled recipe, then renormalize every layer to
-    the fixed target std (the shape-dependent factor cancels); biases zero."""
+    the fixed target std (the shape-dependent factor cancels); biases zero.
+    The draws are float64 whatever the net's dtype, so the rng stream is the same."""
     for w, b in zip(mlp.weights, mlp.biases):
         fan_out, fan_in = w.shape
         glorot = np.sqrt(2.0 / (fan_in + fan_out))
@@ -72,7 +77,7 @@ def gaussian_init(mlp: Mlp, rng: np.random.Generator, std: float = 1e-2):
 
 
 def clone(mlp: Mlp) -> Mlp:
-    out = Mlp(mlp.sizes, mlp.head_scale)
+    out = Mlp(mlp.sizes, mlp.head_scale, mlp.params.dtype)
     out.params[:] = mlp.params
     return out
 
@@ -85,15 +90,16 @@ def leaky_relu(z):
 
 
 def leaky_relu_slope(z):
-    """The activation's derivative: exactly 1.0 where z >= 0 and LEAKY_SLOPE
-    elsewhere (NaN included)."""
-    return (z >= 0) * (1.0 - LEAKY_SLOPE) + LEAKY_SLOPE
+    """The activation's derivative in z's dtype: exactly 1.0 where z >= 0 and
+    LEAKY_SLOPE elsewhere (NaN included)."""
+    scalar = z.dtype.type  # a bool array times a Python float would be float64
+    return (z >= 0) * scalar(1.0 - LEAKY_SLOPE) + scalar(LEAKY_SLOPE)
 
 
 def forward_cached(mlp: Mlp, x):
     """Returns (output, cache) of a (batch, n_in) x, the training pass. Pure:
     parameters are never touched."""
-    a = np.asarray(x, dtype=np.float64)
+    a = np.asarray(x)
     acts = [a]
     zs = []
     last = len(mlp.weights) - 1
@@ -166,7 +172,7 @@ def input_grad(mlp: Mlp, cache, grad_out):
 
 
 def softmax(x):
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
     shift = x - x.max(axis=-1, keepdims=True)
     e = np.exp(shift)
     return e / e.sum(axis=-1, keepdims=True)

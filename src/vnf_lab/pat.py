@@ -9,6 +9,12 @@ of its scores fed to the first critic.
 LearnerBase holds what this learner shares with the DDQN and DDPG pairs of
 the baselines module: replay, schedules, exploration, train_step and
 checkpoints.
+
+The learners compute and store in one dtype, DTYPE (float32): every net,
+gradient and Adam moment, the replay arrays and every batch input. The env's
+features, costs and actions stay float64; a learner casts them at its own
+boundary, in select and in store. Its noise is drawn in float64 as before,
+the target smoothing noise then cast, so every rng stream makes the same draws.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 import os
 from dataclasses import dataclass, asdict
 
@@ -25,6 +32,7 @@ from .env import ParamAction
 from . import nn
 
 HIDDEN = (128, 64)
+DTYPE = np.float32  # the learners' one dtype, as above
 
 
 @dataclass(frozen=True)
@@ -69,29 +77,32 @@ class PatConfig:
 
 class ReplayBuffer:
     """Fixed-capacity ring with uniform with-replacement sampling of (state,
-    action index, (d_cpu, d_mem), reward = -training cost, next state).
+    action index, (d_cpu, d_mem), reward = -training cost, next state), its
+    floats in DTYPE.
 
     Each state is stored once. Row i's next state is read back as row i's
     own state with the row's patch of PATCH entries written over it, so a
     next state may differ from its state in at most PATCH entries, compared
     by bit pattern (so -0.0 and NaN round-trip): a request changes only its
     cell's users, CPU and memory and its VNF's deployed flag. add refuses any
-    other next state with a ValueError, before it writes to the ring."""
+    other next state with a ValueError. add converts and checks every field
+    before it writes any of the row, so an add that raises leaves the ring as
+    it was."""
 
     PATCH = 4  # entries one env request changes, as above
 
     def __init__(self, capacity: int, state_dim: int):
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim))
+        self.states = np.zeros((capacity, state_dim), dtype=DTYPE)
         # the per-row arrays below are written before any read of their row,
         # so they are left unzeroed: zeroing reused heap memory touches it all
         self.actions = np.empty(capacity, dtype=np.int64)
-        self.params = np.empty((capacity, 2))
-        self.rewards = np.empty(capacity)
+        self.params = np.empty((capacity, 2), dtype=DTYPE)
+        self.rewards = np.empty(capacity, dtype=DTYPE)
         # each row's patch: PATCH positions, then the bits of their PATCH values
-        self.patches = np.empty((capacity, 2 * self.PATCH), dtype=np.int64)
-        self._pair = np.empty((2, state_dim))  # the state and next state being added
-        self._pair_bits = self._pair.view(np.int64)
+        self.patches = np.empty((capacity, 2 * self.PATCH), dtype=np.int32)
+        self._pair = np.empty((2, state_dim), dtype=DTYPE)  # the state and next state being added
+        self._pair_bits = self._pair.view(np.int32)
         self.size = 0
         self.cursor = 0
 
@@ -103,6 +114,11 @@ class ReplayBuffer:
         if len(diff) > self.PATCH:
             raise ValueError(f"next state differs from its state in {len(diff)} entries; "
                              f"the replay ring stores at most {self.PATCH}")
+        action_index = operator.index(action_index)
+        params = np.asarray(params, dtype=DTYPE)
+        if params.shape != (2,):
+            raise ValueError(f"params of shape {params.shape}; a transition has (d_cpu, d_mem)")
+        reward = float(reward)
         i = self.cursor
         self.states[i] = pair[0]
         self.actions[i] = action_index
@@ -123,7 +139,7 @@ class ReplayBuffer:
         next_states = states.copy()
         patches = np.take(self.patches, idx, axis=0)
         starts = np.arange(batch_size)[:, None] * self.states.shape[1]  # flat, per batch row
-        np.put(next_states.view(np.int64), starts + patches[:, :self.PATCH],
+        np.put(next_states.view(np.int32), starts + patches[:, :self.PATCH],
                patches[:, self.PATCH:])
         return (states, np.take(self.actions, idx), np.take(self.params, idx, axis=0),
                 np.take(self.rewards, idx), next_states)
@@ -132,7 +148,8 @@ class ReplayBuffer:
 def mean_value_input_grad(critic: nn.Mlp, x: np.ndarray) -> np.ndarray:
     """The gradient of the critic's batch-mean value with respect to its input x."""
     _, cache = nn.forward_cached(critic, x)
-    return nn.input_grad(critic, cache, np.full((x.shape[0], 1), 1.0 / x.shape[0]))
+    b = x.shape[0]
+    return nn.input_grad(critic, cache, np.full((b, 1), 1.0 / b, dtype=x.dtype))
 
 
 def ascend_param_actor(actor: nn.Mlp, adam: nn.AdamState, critic: nn.Mlp,
@@ -226,18 +243,24 @@ class LearnerBase:
         if self.scale.shape != (2,) or (self.scale <= 0).any():
             raise ValueError("param_scale must be two positive bounds")
         self._box = tuple(self.scale.tolist())  # (rho_max, eta_max) as floats
+        self.box = self.scale.astype(DTYPE)  # the same bounds for batch arrays
         # critics see deltas at half-unit scale so the one-hot target coords
         # keep the larger footing; raw-unit gradients recovered by chain rule
-        self.p_feat = 2.0 * self.scale
+        self.p_feat = 2 * self.box
         self.rng = np.random.default_rng(seed)
         self.buffer = ReplayBuffer(self.cfg.buffer_capacity, self.state_dim)
-        self._target_rows = np.eye(self.n_targets)  # row a: target a one-hot, row or batch gather
+        # row a: target a one-hot, row or batch gather
+        self._target_rows = np.eye(self.n_targets, dtype=DTYPE)
         self.updates = 0
         self.eval_mode = False
         self._build(self.state_dim, self.n_targets)
 
     def _build(self, s: int, a: int):
         raise NotImplementedError
+
+    def _net(self, *sizes, scaled: bool = False) -> nn.Mlp:
+        """A DTYPE net of sizes; a scaled one has a tanh head over the delta box."""
+        return nn.Mlp(sizes, self.scale if scaled else None, DTYPE)
 
     def _init_nets(self, **live):
         """Gaussian-init the live nets in order, clone each into its lagged
@@ -266,12 +289,13 @@ class LearnerBase:
         self.eval_mode = bool(flag)
 
     def store(self, state, action_index: int, params, reward: float, next_state):
-        """Add one transition to replay. next_state may differ from state in
-        at most ReplayBuffer.PATCH entries, as every env transition does;
-        any other raises ValueError and stores nothing."""
+        """Add one transition to replay, cast to DTYPE. next_state may differ
+        from state in at most ReplayBuffer.PATCH entries, as every env
+        transition does; any other raises ValueError and stores nothing."""
         self.buffer.add(state, action_index, params, reward, next_state)
 
     def _clipped_noise(self, shape) -> np.ndarray:
+        """Target smoothing noise, drawn and clipped in float64."""
         w = self.rng.normal(0.0, self.cfg.sigma_noise, size=shape) * self.scale
         bound = self.clip_c * self.scale
         return np.clip(w, -bound, bound)
@@ -387,14 +411,14 @@ class PatAgent(LearnerBase):
               "adam_critic_1": "critic_1", "adam_critic_2": "critic_2"}
 
     def _build(self, s: int, a: int):
-        self._init_nets(actor_action=nn.Mlp((s, *HIDDEN, a)),
-                        actor_param=nn.Mlp((s + a, *HIDDEN, 2), head_scale=self.scale),
-                        critic_1=nn.Mlp((s + a + 2, *HIDDEN, 1)),
-                        critic_2=nn.Mlp((s + a + 2, *HIDDEN, 1)))
+        self._init_nets(actor_action=self._net(s, *HIDDEN, a),
+                        actor_param=self._net(s + a, *HIDDEN, 2, scaled=True),
+                        critic_1=self._net(s + a + 2, *HIDDEN, 1),
+                        critic_2=self._net(s + a + 2, *HIDDEN, 1))
 
     def select(self, features, vnf: int = 0, state=None, has_user: bool = True) -> ParamAction:
         """Agent-callback: epsilon-greedy target, noisy bounded deltas."""
-        s = np.asarray(features, dtype=np.float64)
+        s = np.asarray(features, dtype=DTYPE)
         explore = not self.eval_mode
         a = self._eps_greedy(self.actor_action, s, explore)
         return self._actor_step(self.actor_param, s, a, explore)
@@ -408,7 +432,7 @@ class PatAgent(LearnerBase):
         a_next = np.argmax(scores, axis=1)
         oh = self._target_rows[a_next]
         p_next = nn.forward(self.t_actor_param, np.concatenate([next_states, oh], axis=1))
-        p_next = np.clip(p_next + self._clipped_noise((b, 2)), -self.scale, self.scale)
+        p_next = np.clip(p_next + self._clipped_noise((b, 2)).astype(DTYPE), -self.box, self.box)
         p_next[a_next == self.cloud_action] = 0.0  # offloads carry no parameters
         xc = self._critic_input(next_states, oh, p_next)
         q1 = nn.forward(self.t_critic_1, xc)[:, 0]

@@ -3,7 +3,8 @@ they are checked on, the departure step's column rebook as first written,
 the plain formulas the in-place nn code must
 reproduce bit for bit, the learners' batch-1 decision formulas as first
 written, which their float-scalar forms must reproduce bit for bit, and the
-replay ring as first written, with every next state stored whole.
+replay ring as first written, with every next state stored whole. Each
+reference computes in the dtype of the net or ring it checks.
 
 The figures come from perfbench/oracle.py: the benchmark's scalar cost
 oracle, written from the model's definition without importing
@@ -21,6 +22,7 @@ import numpy as np
 from vnf_lab import nn
 from vnf_lab.env import AllocationState, ParamAction, VnfSpec, cell_costs, resource_range
 from vnf_lab.nn import ADAM_BETA1, ADAM_BETA2, ADAM_EPS, LEAKY_SLOPE
+from vnf_lab.pat import DTYPE
 
 _PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -153,11 +155,11 @@ def leaky_where(z):
 
 
 def leaky_factor_where(z):
-    return np.where(z >= 0, 1.0, LEAKY_SLOPE)
+    return np.where(z >= 0, 1.0, LEAKY_SLOPE).astype(z.dtype)
 
 
 def forward_cached_reference(mlp, x):
-    a = np.asarray(x, dtype=np.float64)
+    a = np.asarray(x, dtype=mlp.params.dtype)
     acts, zs = [a], []
     last = len(mlp.weights) - 1
     for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
@@ -177,7 +179,7 @@ def forward_cached_reference(mlp, x):
 def backward_reference(mlp, cache, grad_out):
     """(weight gradients, input gradient) from one full backprop."""
     acts, zs, t = cache
-    g = np.asarray(grad_out, dtype=np.float64)
+    g = np.asarray(grad_out, dtype=mlp.params.dtype)
     if mlp.head_scale is not None:
         g = g * mlp.head_scale * (1.0 - t * t)
     grads = [None] * len(mlp.weights)
@@ -234,15 +236,15 @@ def soft_update_reference(target, source, tau):
 # and the actor step's noise and clips on numpy arrays
 
 
-def one_hot(indices, width: int) -> np.ndarray:
+def one_hot(indices, width: int, dtype=np.float64) -> np.ndarray:
     indices = np.asarray(indices, dtype=np.int64)
-    out = np.zeros((indices.shape[0], width))
+    out = np.zeros((indices.shape[0], width), dtype=dtype)
     out[np.arange(indices.shape[0]), indices] = 1.0
     return out
 
 
 def forward_reference(mlp, x):
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x, dtype=mlp.params.dtype)
     y, _ = nn.forward_cached(mlp, np.atleast_2d(x))
     return y[0] if x.ndim == 1 else y
 
@@ -261,17 +263,23 @@ def actor_step_reference(agent, actor, s, a, explore):
 
 # ---------------------------------------------------------------------------
 # the replay ring as first written: two state-wide arrays, one for the states
-# and one for the next states, gathered by fancy indexing
+# and one for the next states, gathered by fancy indexing; floats in the
+# learners' dtype
+
+
+def bits(a: np.ndarray) -> np.ndarray:
+    """a's bit patterns: a view as signed integers of a's width."""
+    return a.view(f"i{a.dtype.itemsize}")
 
 
 class ReplayBufferReference:
     def __init__(self, capacity: int, state_dim: int):
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim))
+        self.states = np.zeros((capacity, state_dim), dtype=DTYPE)
         self.actions = np.zeros(capacity, dtype=np.int64)
-        self.params = np.zeros((capacity, 2))
-        self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_dim))
+        self.params = np.zeros((capacity, 2), dtype=DTYPE)
+        self.rewards = np.zeros(capacity, dtype=DTYPE)
+        self.next_states = np.zeros((capacity, state_dim), dtype=DTYPE)
         self.size = 0
         self.cursor = 0
 

@@ -18,7 +18,7 @@ from reference import check_kernel, qos_reference, random_populated_state, rando
 from vnf_lab import cli, harness, nn
 from vnf_lab.baselines import CloudAgent, GreedyAgent
 from vnf_lab.env import CostParams, VnfSpec, cost_components, qos, resource_range
-from vnf_lab.pat import PatAgent, PatConfig
+from vnf_lab.pat import DTYPE, PatAgent, PatConfig
 
 SPEC0 = VnfSpec(0, 3, 5, 4, 6, 5, 3, 35, 70, 2, 2.0, 1.5)
 
@@ -157,11 +157,13 @@ def test_update_rules_match_hand_values():
             b[:] = 0.0
         net.biases[-1][0] = value
     rng = np.random.default_rng(1)
-    batch = (np.zeros((4, 6)), np.zeros(4, dtype=np.int64), np.zeros((4, 2)),
-             np.full(4, 0.5), rng.normal(0, 1, (4, 6)))
+    # a batch as replay samples it, floats in the learners' dtype
+    batch = (np.zeros((4, 6), DTYPE), np.zeros(4, dtype=np.int64), np.zeros((4, 2), DTYPE),
+             np.full(4, 0.5, DTYPE), rng.normal(0, 1, (4, 6)).astype(DTYPE))
     y, info = agent.compute_targets(batch)
     assert (y == batch[3] + 0.99 * np.minimum(info["q1"], info["q2"])).all()
-    assert y == pytest.approx([1.49] * 4, abs=1e-12)
+    # 0.5 + 0.99 * 1.0 in that dtype, in that order
+    assert (y == DTYPE(0.5) + DTYPE(0.99) * DTYPE(1.0)).all() and y.dtype == DTYPE
 
     src = nn.Mlp((4, 8, 2))
     tgt = nn.Mlp((4, 8, 2))

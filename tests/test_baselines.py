@@ -11,7 +11,7 @@ from vnf_lab.baselines import (BaselineRlConfig, CloudAgent, DdpgPairAgent,
                                RandomAgent, dqn_update)
 from reference import one_hot
 from vnf_lab.env import AllocationState, ParamAction, PoolConfig, VnfSpec, qos, resource_range
-from vnf_lab.pat import ReplayBuffer
+from vnf_lab.pat import DTYPE, ReplayBuffer
 
 STATE_DIM = 12
 N_TARGETS = 4
@@ -313,23 +313,25 @@ class TestDdpgPair:
             b[:] = 0.0
         agent.t_critic.biases[-1][0] = 3.0
         rng = np.random.default_rng(61)
-        rewards = rng.uniform(-1, 1, 8)
-        batch = (rng.normal(0, 1, (8, STATE_DIM)), rng.integers(0, N_TARGETS, 8),
-                 rng.uniform(-50, 50, (8, 2)), rewards, rng.normal(0, 1, (8, STATE_DIM)))
+        rewards = rng.uniform(-1, 1, 8).astype(DTYPE)
+        batch = (rng.normal(0, 1, (8, STATE_DIM)).astype(DTYPE), rng.integers(0, N_TARGETS, 8),
+                 rng.uniform(-50, 50, (8, 2)).astype(DTYPE), rewards,
+                 rng.normal(0, 1, (8, STATE_DIM)).astype(DTYPE))
         y1 = agent.compute_targets(batch)
         y2 = agent.compute_targets(batch)
         assert (y1 == y2).all()
-        assert y1 == pytest.approx(rewards + 0.99 * 3.0, rel=1e-12)
+        # rewards + 0.99 * 3.0 in the learners' dtype, in that order
+        assert (y1 == rewards + DTYPE(0.99) * DTYPE(3.0)).all() and y1.dtype == DTYPE
 
     def test_exploration_noise_is_bounded(self):
         agent = self.make(sigma_noise=5.0)
         rng = np.random.default_rng(62)
         for _ in range(200):
-            feats = rng.normal(0, 1, STATE_DIM)
+            feats = rng.normal(0, 1, STATE_DIM).astype(DTYPE)  # select's cast
             act = agent.select(feats)
             assert abs(act.d_cpu) <= 50.0 and abs(act.d_mem) <= 50.0
             if act.target != agent.cloud_action:
-                x = np.concatenate([feats, one_hot([act.target], N_TARGETS)[0]])
+                x = np.concatenate([feats, one_hot([act.target], N_TARGETS, DTYPE)[0]])
                 mu = nn.forward(agent.actor, x)
                 limit = agent.clip_c * 50.0
                 assert abs(act.d_cpu - mu[0]) <= limit + 1e-9

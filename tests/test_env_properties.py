@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from reference import ReplayBufferReference, check_oracle, oracle_figures
+from reference import ReplayBufferReference, bits, check_oracle, oracle_figures
 from vnf_lab.baselines import GreedyAgent, RandomAgent
 from vnf_lab.env import (CostParams, PoolConfig, TrafficConfig, VnfEnv, agent_cost,
                          cost_components)
@@ -150,7 +150,7 @@ def test_every_transition_fits_the_replay_ring():
             got = ReplayBuffer(len(records), env.feature_length)
             want = ReplayBufferReference(len(records), env.feature_length)
             for r in records:
-                changed = int((r.next_state.view(np.int64) != r.state.view(np.int64)).sum())
+                changed = int((bits(r.next_state) != bits(r.state)).sum())
                 assert changed <= ReplayBuffer.PATCH
                 for ring in (got, want):
                     ring.add(r.state, r.action.target, (r.action.d_cpu, r.action.d_mem),
@@ -162,7 +162,7 @@ def test_every_transition_fits_the_replay_ring():
             b = 4 * len(records)
             for g, w in zip(got.sample(b, np.random.default_rng(seed)),
                             want.sample(b, np.random.default_rng(seed))):
-                assert (g.view(np.int64) == w.view(np.int64)).all()
+                assert (bits(g) == bits(w)).all()
 
     check()
     assert min(seen[case] for case in ("infeasible", "idle", "whole patch", "epoch end")) > 0

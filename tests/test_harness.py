@@ -398,6 +398,21 @@ class TestCompare:
         assert long_lines[0] == "agent,seed,epoch,metric,value"
         assert len(long_lines) == 1 + len(result.long_rows)
 
+    def test_baselines_are_priced_by_the_documents_block(self):
+        """The learner block's beta prices every agent's requests, so greedy's
+        mean_reward moves with it, as the learner's does."""
+        rewards = []
+        for beta in (0.2, 0.9):
+            cfg = desk_cfg(agent={"kind": "pat", "beta": beta}, total_epochs=20,
+                           eval_epochs=20)
+            result = compare(cfg, ["pat", "greedy"], seeds=[3])
+            rewards.append({name: result.kpis[name]["mean_reward"][0]
+                            for name in ("pat", "greedy")})
+        assert rewards[0]["pat"] != rewards[1]["pat"]
+        assert rewards[0]["greedy"] != rewards[1]["greedy"]
+        # beta 0.2 is the default, at which the baselines were priced before
+        assert rewards[0]["greedy"] == pytest.approx(-0.486, abs=5e-4)
+
     def test_compare_needs_agents(self):
         with pytest.raises(ConfigError):
             compare(desk_cfg(), [])

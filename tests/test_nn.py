@@ -1,5 +1,6 @@
 """Dense-network toolkit: init stats, gradient correctness, Adam, targets,
-and bit-for-bit agreement with the plain formulas (tests/reference.py)."""
+and bit-for-bit agreement with the plain formulas (tests/reference.py), the
+last in float64 and in the learners' float32."""
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import reference
 from vnf_lab import nn
 
 
-def build(sizes, head_scale=None, seed=0):
-    net = nn.Mlp(sizes, head_scale)
+def build(sizes, head_scale=None, seed=0, dtype=np.float64):
+    net = nn.Mlp(sizes, head_scale, dtype)
     nn.gaussian_init(net, np.random.default_rng(seed))
     return net
 
@@ -238,19 +239,22 @@ def same_bits(a, b) -> bool:
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def special_values():
-    tiny = np.finfo(np.float64).smallest_subnormal
+def special_values(dtype=np.float64):
+    """Edge values of dtype, then float64 draws of every magnitude and
+    ordinary ones, cast to dtype (out-of-range draws become 0 or inf)."""
+    info = np.finfo(dtype)
+    tiny = info.smallest_subnormal
     edge = np.array([0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny,
-                     1e3 * tiny, -1e3 * tiny, np.finfo(np.float64).tiny,
-                     -np.finfo(np.float64).tiny, np.finfo(np.float64).max,
-                     -np.finfo(np.float64).max, 1.0, -1.0])
+                     1e3 * tiny, -1e3 * tiny, info.tiny, -info.tiny, info.max,
+                     -info.max, 1.0, -1.0], dtype=dtype)
     rng = np.random.default_rng(40)
     wide = rng.normal(0, 1, 2000) * 10.0 ** rng.integers(-320, 300, 2000)
-    return np.concatenate([edge, wide, rng.normal(0, 1, 2000)])
+    with np.errstate(over="ignore"):
+        return np.concatenate([edge, wide.astype(dtype), rng.normal(0, 1, 2000).astype(dtype)])
 
 
-def random_net(sizes, head_scale=None, seed=0):
-    net = build(sizes, head_scale, seed)
+def random_net(sizes, head_scale=None, seed=0, dtype=np.float64):
+    net = build(sizes, head_scale, seed, dtype)
     rng = np.random.default_rng(seed + 100)
     for w in net.weights:
         w[:] = rng.normal(0, 0.3, w.shape)
@@ -264,24 +268,26 @@ NETS = [((12, 16, 8, 5), None), ((14, 16, 8, 1), None), ((10, 16, 8, 2), (50.0, 
 
 
 class TestMatchesPlainFormulas:
+    dtype = np.float64  # nn's default; the Float32 subclass reruns these in float32
+
     def test_activation_equals_where_form_bitwise(self):
-        z = special_values()
+        z = special_values(self.dtype)
         with np.errstate(all="ignore"):
             assert same_bits(nn.leaky_relu(z), reference.leaky_where(z))
 
     def test_backward_factor_is_one_or_the_slope(self):
-        z = special_values()
+        z = special_values(self.dtype)
         factor = nn.leaky_relu_slope(z)
-        assert set(np.unique(factor).tolist()) == {1.0, nn.LEAKY_SLOPE}
+        assert set(np.unique(factor).tolist()) == {1.0, float(self.dtype(nn.LEAKY_SLOPE))}
         assert same_bits(factor, reference.leaky_factor_where(z))
 
     @pytest.mark.parametrize("sizes, head", NETS)
     @pytest.mark.parametrize("batch", [1, 7, 128])
     def test_gradients_equal_full_backprop_bitwise(self, sizes, head, batch):
-        net = random_net(sizes, head, seed=41)
+        net = random_net(sizes, head, seed=41, dtype=self.dtype)
         rng = np.random.default_rng(42)
-        x = rng.normal(0, 1, (batch, net.n_in))
-        gout = rng.normal(0, 1, (batch, net.n_out))
+        x = rng.normal(0, 1, (batch, net.n_in)).astype(self.dtype)
+        gout = rng.normal(0, 1, (batch, net.n_out)).astype(self.dtype)
         y, cache = nn.forward_cached(net, x)
         y_ref, cache_ref = reference.forward_cached_reference(net, x)
         assert same_bits(y, y_ref)
@@ -292,15 +298,15 @@ class TestMatchesPlainFormulas:
         assert same_bits(nn.input_grad(net, cache, gout), gin_ref)
 
     def test_adam_and_soft_update_equal_plain_formulas_bitwise(self):
-        net = random_net((20, 32, 16, 3), seed=43)
+        net = random_net((20, 32, 16, 3), seed=43, dtype=self.dtype)
         net_ref = nn.clone(net)
         adam = nn.AdamState(net, lr=1e-3)
         adam_ref = nn.AdamState(net_ref, lr=1e-3)
-        target = random_net((20, 32, 16, 3), seed=44)
+        target = random_net((20, 32, 16, 3), seed=44, dtype=self.dtype)
         target_ref = nn.clone(target)
         rng = np.random.default_rng(45)
         for _ in range(5):
-            grad = rng.normal(0, 1, net.params.shape)
+            grad = rng.normal(0, 1, net.params.shape).astype(self.dtype)
             adam.step(net, grad)
             reference.adam_step_reference(adam_ref, net_ref, grad)
             nn.soft_update(target, net, 5e-3)
@@ -313,11 +319,11 @@ class TestMatchesPlainFormulas:
         assert same_bits(adam.m, adam_ref.m) and same_bits(adam.v, adam_ref.v)
 
 
-def edge_rows(n_in, rng):
-    """Ordinary rows, one plain and the others each mixed with one kind of
-    edge value: signed zeros, subnormals, infinities, NaN; and rows made
-    wholly of -0.0 and of subnormals."""
-    tiny = np.finfo(np.float64).smallest_subnormal
+def edge_rows(n_in, rng, dtype=np.float64):
+    """Ordinary rows of dtype, one plain and the others each mixed with one
+    kind of edge value: signed zeros, subnormals, infinities, NaN; and rows
+    made wholly of -0.0 and of subnormals."""
+    tiny = np.finfo(dtype).smallest_subnormal
     mixes = [(), (0.0, -0.0), (tiny, -tiny, 1e3 * tiny), (np.inf,), (-np.inf, np.inf),
              (np.nan,)]
     rows = rng.normal(0, 1, (len(mixes) + 2, n_in))
@@ -325,11 +331,19 @@ def edge_rows(n_in, rng):
         row[rng.choice(n_in, size=len(values), replace=False)] = values
     rows[-2] = -0.0
     rows[-1] = tiny * rng.integers(-3, 4, n_in)
-    return rows
+    return rows.astype(dtype)
+
+
+class TestMatchesPlainFormulasFloat32(TestMatchesPlainFormulas):
+    """The same checks on float32 nets and inputs, the learners' dtype."""
+
+    dtype = np.float32
 
 
 class TestCachelessForward:
     """nn.forward, the inference pass, against forward_cached's output."""
+
+    dtype = np.float64  # nn's default; the Float32 subclass reruns this in float32
 
     @pytest.mark.parametrize("sizes, head", NETS + [((354, 128, 64, 11), None),
                                                     ((365, 128, 64, 2), (50.0, 40.0))])
@@ -337,15 +351,15 @@ class TestCachelessForward:
     def test_equals_forward_cached_bitwise(self, sizes, head, batch):
         """A 1-D row stays 1-D with the bits of its (1, n) batch; a (1, n)
         row and batches keep their shape."""
-        net = random_net(sizes, head, seed=46)
+        net = random_net(sizes, head, seed=46, dtype=self.dtype)
         rng = np.random.default_rng(47)
-        edges = edge_rows(net.n_in, rng)
+        edges = edge_rows(net.n_in, rng, self.dtype)
         if batch == "row":
             inputs = list(edges)
         elif batch == 1:
             inputs = [row[None, :] for row in edges]
         else:
-            x = rng.normal(0, 1, (batch, net.n_in))
+            x = rng.normal(0, 1, (batch, net.n_in)).astype(self.dtype)
             picked = rng.permutation(batch)[:len(edges)]
             x[picked] = edges[:len(picked)]
             inputs = [x]
@@ -353,3 +367,9 @@ class TestCachelessForward:
             for x in inputs:
                 y, _ = nn.forward_cached(net, np.atleast_2d(x))
                 assert same_bits(nn.forward(net, x), y[0] if x.ndim == 1 else y)
+
+
+class TestCachelessForwardFloat32(TestCachelessForward):
+    """The same check on float32 nets and inputs, the learners' dtype."""
+
+    dtype = np.float32

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 import reference
 from vnf_lab import cli, harness, nn, pat
-from reference import one_hot
+from reference import bits, one_hot
 from vnf_lab.baselines import BaselineRlConfig, DdpgPairAgent, DdqnPairAgent
 from vnf_lab.env import ParamAction
-from vnf_lab.pat import LearnerBase, PatAgent, PatConfig, ReplayBuffer, ascend_param_actor
+from vnf_lab.pat import (DTYPE, LearnerBase, PatAgent, PatConfig, ReplayBuffer,
+                         ascend_param_actor)
 
 STATE_DIM = 12
 N_TARGETS = 4
@@ -26,12 +27,13 @@ def make_agent(seed=0, **overrides) -> PatAgent:
 
 
 def random_batch(rng, b=8):
-    states = rng.normal(0, 1, (b, STATE_DIM))
+    """A replay batch as the ring samples it: floats in the learners' dtype."""
+    states = rng.normal(0, 1, (b, STATE_DIM)).astype(DTYPE)
     actions = rng.integers(0, N_TARGETS, b)
-    params = rng.uniform(-50, 50, (b, 2))
+    params = rng.uniform(-50, 50, (b, 2)).astype(DTYPE)
     params[actions == N_TARGETS - 1] = 0.0
-    rewards = rng.uniform(-1, 1, b)
-    next_states = rng.normal(0, 1, (b, STATE_DIM))
+    rewards = rng.uniform(-1, 1, b).astype(DTYPE)
+    next_states = rng.normal(0, 1, (b, STATE_DIM)).astype(DTYPE)
     return states, actions, params, rewards, next_states
 
 
@@ -55,8 +57,10 @@ def energize(net, rng, std=0.3):
 
 
 REPLAY_DIM = 6
-# entries that collide often; -0.0 against 0.0 and two NaN payloads differ only in bits
-REPLAY_VALUES = [0.0, -0.0, 1.0, np.nan, struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000123))[0]]
+# entries that collide often, in the ring's dtype; -0.0 against 0.0 and two
+# NaN payloads differ only in bits
+REPLAY_VALUES = np.array([0.0, -0.0, 1.0, np.nan, np.nan], dtype=DTYPE)
+bits(REPLAY_VALUES)[-1] = 0x7FC00123
 
 
 @st.composite
@@ -78,11 +82,11 @@ def replay_scripts(draw):
         k = {"patched": draw(st.integers(0, 4)),
              "whole": draw(st.sampled_from([5, REPLAY_DIM])), "following": 0}[way]
         for pos in rng.choice(REPLAY_DIM, k, replace=False):
-            bits = next_state[pos:pos + 1].view(np.int64)
+            entry = bits(next_state[pos:pos + 1])
             if draw(st.booleans()):
-                bits ^= np.int64(-2**63)  # the sign bit
+                entry ^= np.int32(-2**31)  # the sign bit
             else:
-                bits[0] = np.float64(rng.normal()).view(np.int64)
+                entry[0] = bits(np.array(rng.normal(), dtype=DTYPE))
         ops.append(("add", way, states[t].copy(), int(rng.integers(4)), rng.normal(0, 1, 2),
                     float(rng.normal()), next_state))
         if draw(st.booleans()):
@@ -113,6 +117,19 @@ class TestReplayBuffer:
         assert (actions == 1).all() and (rewards == 0.5).all()
         assert (params == [1.0, 2.0]).all()
 
+    def test_bad_field_leaves_the_full_ring_as_it_was(self):
+        """An add whose params has the wrong shape raises before it writes
+        any of the row: on a full ring, row 0 keeps its old transition."""
+        buf = ReplayBuffer(2, 3)
+        for i in range(2):
+            buf.add(np.full(3, float(i)), i, (0.5, 0.5), 0.1, np.full(3, float(i)))
+        before = ring_arrays(buf)
+        with pytest.raises(ValueError, match=r"params of shape \(3,\)"):
+            buf.add(np.full(3, 9.0), 2, (1.0, 2.0, 3.0), 0.2, np.full(3, 9.0))
+        for a, b in zip(ring_arrays(buf), before):
+            assert (bits(a) == bits(b)).all()
+        assert buf.size == 2 and buf.cursor == 0
+
     def test_empty_buffer_rejects_sampling(self):
         with pytest.raises(ValueError):
             ReplayBuffer(4, 2).sample(1, np.random.default_rng(0))
@@ -140,17 +157,17 @@ class TestReplayBuffer:
             elif op[0] == "sample":
                 for g, w in zip(got.sample(op[1], rng_got), want.sample(op[1], rng_want)):
                     assert g.dtype == w.dtype
-                    assert (g.view(np.int64) == w.view(np.int64)).all()
+                    assert (bits(g) == bits(w)).all()
             else:
                 _, way, state, action, params, reward, next_state = op
-                changed = int((next_state.view(np.int64) != state.view(np.int64)).sum())
+                changed = int((bits(next_state) != bits(state)).sum())
                 assert (changed > ReplayBuffer.PATCH) == (way == "whole") or way == "following"
                 if changed > ReplayBuffer.PATCH:
                     before = ring_arrays(got)
                     with pytest.raises(ValueError, match=f"in {changed} entries"):
                         got.add(state, action, params, reward, next_state)
                     for a, b in zip(ring_arrays(got), before):
-                        assert (a.view(np.int64) == b.view(np.int64)).all()
+                        assert (bits(a) == bits(b)).all()
                 else:
                     for ring in (got, want):
                         ring.add(state, action, params, reward, next_state)
@@ -190,11 +207,11 @@ class TestReplayBuffer:
         assert buf.size == want.size and buf.cursor == want.cursor
         next_states = buf.states.copy()
         for row, patch in zip(next_states, buf.patches):
-            row.view(np.int64)[patch[:buf.PATCH]] = patch[buf.PATCH:]
+            bits(row)[patch[:buf.PATCH]] = patch[buf.PATCH:]
         for g, w in ((buf.states, want.states), (buf.actions, want.actions),
                      (buf.params, want.params), (buf.rewards, want.rewards),
                      (next_states, want.next_states)):
-            assert (g.view(np.int64) == w.view(np.int64)).all()
+            assert (bits(g) == bits(w)).all()
 
 
 class TestSelect:
@@ -210,14 +227,14 @@ class TestSelect:
     def test_eval_mode_is_deterministic_and_noiseless(self):
         agent = make_agent(seed=2)
         agent.set_eval(True)
-        feats = np.random.default_rng(3).normal(0, 1, STATE_DIM)
+        feats = np.random.default_rng(3).normal(0, 1, STATE_DIM).astype(DTYPE)
         a1 = agent.select(feats)
         a2 = agent.select(feats)
         assert (a1.target, a1.d_cpu, a1.d_mem) == (a2.target, a2.d_cpu, a2.d_mem)
         best = int(np.argmax(nn.forward(agent.actor_action, feats)))
         assert a1.target == best
         if best != agent.cloud_action:
-            x = np.concatenate([feats, one_hot([best], N_TARGETS)[0]])
+            x = np.concatenate([feats, one_hot([best], N_TARGETS, DTYPE)[0]])
             mu = nn.forward(agent.actor_param, x)
             assert (a1.d_cpu, a1.d_mem) == pytest.approx((mu[0], mu[1]))
 
@@ -233,11 +250,11 @@ class TestSelect:
         agent = make_agent(seed=5, eps=0.0, eps_min=0.0, sigma_noise=5.0)
         rng = np.random.default_rng(6)
         for _ in range(200):
-            feats = rng.normal(0, 1, STATE_DIM)
+            feats = rng.normal(0, 1, STATE_DIM).astype(DTYPE)  # select's cast
             act = agent.select(feats)
             assert abs(act.d_cpu) <= SCALE[0] and abs(act.d_mem) <= SCALE[1]
             if act.target != agent.cloud_action:
-                x = np.concatenate([feats, one_hot([act.target], N_TARGETS)[0]])
+                x = np.concatenate([feats, one_hot([act.target], N_TARGETS, DTYPE)[0]])
                 mu = nn.forward(agent.actor_param, x)
                 limit = agent.clip_c * np.asarray(SCALE)
                 assert abs(act.d_cpu - mu[0]) <= limit[0] + 1e-9
@@ -290,10 +307,11 @@ class TestTargets:
                 b[:] = 0.0
             net.biases[-1][0] = value
         batch = random_batch(np.random.default_rng(11), 3)
-        batch = (*batch[:3], np.full(3, 0.5), batch[4])
+        batch = (*batch[:3], np.full(3, 0.5, dtype=DTYPE), batch[4])
         y, info = agent.compute_targets(batch)
         assert (info["q1"] == 1.0).all() and (info["q2"] == 2.0).all()
-        assert y == pytest.approx([1.49] * 3, abs=1e-12)
+        # 0.5 + 0.99 * 1.0 in the learners' dtype, in that order
+        assert (y == DTYPE(0.5) + DTYPE(0.99) * DTYPE(1.0)).all() and y.dtype == DTYPE
 
     def test_next_action_follows_target_score_net(self):
         agent = make_agent(seed=12)
@@ -327,7 +345,7 @@ class TestCriticUpdate:
         rng = np.random.default_rng(19)
         batch = random_batch(rng, 8)
         states, actions, params = batch[0], batch[1], batch[2]
-        xc = agent._critic_input(states, one_hot(actions, N_TARGETS), params)
+        xc = agent._critic_input(states, one_hot(actions, N_TARGETS, DTYPE), params)
         y = nn.forward(agent.critic_1, xc)[:, 0]
         before = [w.copy() for w in agent.critic_1.weights]
         l1, l2 = agent.update_critics(batch, y)
@@ -346,6 +364,13 @@ class TestCriticUpdate:
             last = agent.update_critics(batch, y)
         assert last[0] < first[0] * 0.01
         assert last[1] < first[1] * 0.01
+
+
+def as_float64(net: nn.Mlp) -> nn.Mlp:
+    """A float64 copy of net, the same values."""
+    out = nn.Mlp(net.sizes, net.head_scale, np.float64)
+    out.params[:] = net.params
+    return out
 
 
 def numeric_grad(fn, arr, idx, h=1e-5):
@@ -425,10 +450,14 @@ class TestActorUpdate:
         energize(agent.actor_action, rng, std=0.2)
         batch = random_batch(rng, 6)
         states, _, params = batch[0], batch[1], batch[2]
+        # the differences are taken on float64 copies: a float32 objective
+        # cannot resolve a step of 1e-5
+        actor, critic = as_float64(agent.actor_action), as_float64(agent.critic_1)
 
         def objective():
-            soft = nn.softmax(nn.forward(agent.actor_action, states))
-            q = nn.forward(agent.critic_1, agent._critic_input(states, soft, params))
+            soft = nn.softmax(nn.forward(actor, states.astype(np.float64)))
+            q = nn.forward(critic, agent._critic_input(states.astype(np.float64), soft,
+                                                        params.astype(np.float64)))
             return float(q.mean())
 
         probes = []
@@ -436,7 +465,7 @@ class TestActorUpdate:
             layer = int(rng.integers(len(agent.actor_action.weights)))
             idx = (int(rng.integers(agent.actor_action.weights[layer].shape[0])),
                    int(rng.integers(agent.actor_action.weights[layer].shape[1])))
-            g = numeric_grad(objective, agent.actor_action.weights[layer], idx)
+            g = numeric_grad(objective, actor.weights[layer], idx)
             if abs(g) > 1e-5:
                 probes.append((layer, idx, g, agent.actor_action.weights[layer][idx]))
         assert len(probes) >= 5
@@ -644,6 +673,110 @@ class TestCheckpoint:
             DdpgPairAgent.load(path)
 
 
+def desk_learner_doc(kind, **agent):
+    """A 3x3 document whose learner passes its warm-up within a few epochs;
+    a pair switches phase every second update."""
+    pair = {} if kind == "pat" else {"alternation_period": 2}
+    return {"pool": {"k_servers": 3, "n_vnfs": 3},
+            "agent": {"kind": kind, "warmup_size": 60, "batch_size": 16,
+                      "buffer_capacity": 200, **pair, **agent},
+            "run": {"seed": 11, "total_epochs": 12, "eval_epochs": 3}}
+
+
+def float_arrays(obj):
+    """Every float array in obj, through tuples and lists (a forward cache),
+    a net's parameters and head scale, and an optimizer's moments."""
+    if isinstance(obj, np.ndarray):
+        return [obj] if obj.dtype.kind == "f" else []
+    if isinstance(obj, nn.Mlp):
+        return float_arrays([obj.params, obj.head_scale])
+    if isinstance(obj, nn.AdamState):
+        return [obj.m, obj.v]
+    if isinstance(obj, (tuple, list)):
+        return [a for item in obj for a in float_arrays(item)]
+    return []
+
+
+class TestOneDtype:
+    """The learners compute and store in DTYPE only. numpy 2 (NEP 50) lets a
+    float64 scalar promote a float32 result where numpy 1 did not, so a
+    float64 that reached a net would make the bits depend on numpy's version."""
+
+    @pytest.mark.parametrize("kind", ["pat", "ddqn", "ddpg"])
+    def test_no_float64_reaches_the_nets(self, kind, monkeypatch):
+        """After the warm-up and a few updates, more training and evaluation
+        epochs give nn.forward, forward_cached, backward, input_grad,
+        AdamState.step and soft_update, and the activation, softmax and
+        backprop helpers they call, DTYPE arrays only, and those return DTYPE
+        arrays only; every net, target net, Adam moment and replay float
+        array is DTYPE."""
+        cfg = harness.config_from_dict(desk_learner_doc(kind))
+        env = harness.build_env(cfg, 11)
+        agent = harness.build_agent(cfg, env, 11)
+        harness._drive(env, agent, 12)
+        assert agent.updates > 0
+        seen = []
+
+        def spy(name, fn):
+            def wrapped(*args):
+                out = fn(*args)
+                seen.append((name, float_arrays(args) + float_arrays(out)))
+                return out
+            return wrapped
+
+        wrapped = ["forward", "forward_cached", "backward", "input_grad", "soft_update",
+                   "leaky_relu", "leaky_relu_slope", "softmax", "_head_grad", "_through_layer"]
+        for name in wrapped:
+            monkeypatch.setattr(nn, name, spy(name, getattr(nn, name)))
+        monkeypatch.setattr(nn.AdamState, "step", spy("step", nn.AdamState.step))
+        harness._drive(env, agent, 6)
+        harness.evaluate_agent(cfg, agent, 11, 2)
+        # a DQN pair never ascends through a critic, and only PAT relaxes its scores
+        unused = {"pat": set(), "ddqn": {"input_grad", "softmax"}, "ddpg": {"softmax"}}[kind]
+        assert {name for name, _ in seen} == {"step", *wrapped} - unused
+        for name, arrays in seen:
+            dtypes = {a.dtype for a in arrays}
+            assert dtypes == {np.dtype(DTYPE)}, (name, dtypes)
+        for name in agent._NETS:
+            net = getattr(agent, name)
+            assert net.params.dtype == DTYPE, name
+            assert net.head_scale is None or net.head_scale.dtype == DTYPE, name
+        for name in agent._ADAMS:
+            adam = getattr(agent, name)
+            assert adam.m.dtype == adam.v.dtype == DTYPE, name
+        buf = agent.buffer
+        assert buf.states.dtype == buf.params.dtype == buf.rewards.dtype == DTYPE
+
+    @pytest.mark.parametrize("kind", ["pat", "ddqn", "ddpg"])
+    def test_float64_checkpoint_loads_for_eval(self, tmp_path, kind):
+        """A checkpoint of float64 arrays under today's keys, as float64
+        learners wrote them, loads through vnf-lab eval and evaluates as the
+        float32 checkpoint of the same values does; loaded, its arrays are
+        DTYPE. A new checkpoint stores DTYPE arrays under the same keys."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(desk_learner_doc(kind)))
+        assert cli.main(["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                         "--quiet"]) == 0
+        new = tmp_path / "run" / "checkpoint.npz"
+        with np.load(new) as data:
+            stored = {key: data[key] for key in data.files}
+        wide = {key: a.astype(np.float64) if a.dtype.kind == "f" else a
+                for key, a in stored.items()}
+        assert {a.dtype for a in float_arrays(list(stored.values()))} == {np.dtype(DTYPE)}
+        old = tmp_path / "old.npz"
+        np.savez(old, **wide)
+        for path, out in ((new, "eval_new"), (old, "eval_old")):
+            assert cli.main(["eval", "--config", str(cfg), "--checkpoint", str(path),
+                             "--out", str(tmp_path / out), "--quiet"]) == 0
+        assert (tmp_path / "eval_old" / "eval_metrics.csv").read_bytes() == \
+            (tmp_path / "eval_new" / "eval_metrics.csv").read_bytes()
+        agent = harness.LEARNERS[kind].load(old)
+        arrays = agent._checkpoint_arrays()
+        assert set(arrays) | {"meta"} == set(stored)
+        for key, a in arrays.items():
+            assert a.dtype == stored[key].dtype and a.tobytes() == stored[key].tobytes(), key
+
+
 class TestNonFiniteStop:
     # each kind's critic and the update that first trains it after the clean
     # first one: a ddpg pair regresses its critic only in phase 1 (updates 3
@@ -699,7 +832,7 @@ class TestFirstFormulas:
             if i == 250:
                 for agent in (got, want):
                     agent.actor_param.biases[-1][0] = np.nan
-            s = rng.normal(0, 1, STATE_DIM)
+            s = rng.normal(0, 1, STATE_DIM).astype(DTYPE)  # as select passes it
             a = int(rng.integers(N_TARGETS))
             explore = i % 3 > 0
             action = got._actor_step(got.actor_param, s, a, explore)
@@ -717,7 +850,7 @@ class TestFirstFormulas:
         sign of a zero, and the float form keeps it."""
         edges = [0.0, -0.0, 1e-310, -1e-310, 50.0, -50.0, 50.5, -1e300, np.nan]
         got, want = (make_agent(seed=24, clip_c=clip_c, clip_c_min=clip_c) for _ in range(2))
-        s = np.zeros(STATE_DIM)
+        s = np.zeros(STATE_DIM, dtype=DTYPE)
         for p in ([c, m] for c in edges for m in edges):
             monkeypatch.setattr(nn, "forward", lambda net, x: np.array(p))
             monkeypatch.setattr(reference, "forward_reference", lambda net, x: np.array(p))
