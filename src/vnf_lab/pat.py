@@ -19,9 +19,11 @@ the target smoothing noise then cast, so every rng stream makes the same draws.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass, asdict
@@ -80,53 +82,84 @@ class ReplayBuffer:
     action index, (d_cpu, d_mem), reward = -training cost, next state), its
     floats in DTYPE.
 
-    Each state is stored once. Row i's next state is read back as row i's
-    own state with the row's patch of PATCH entries written over it, so a
-    next state may differ from its state in at most PATCH entries, compared
-    by bit pattern (so -0.0 and NaN round-trip): a request changes only its
-    cell's users, CPU and memory and its VNF's deployed flag. add refuses any
-    other next state with a ValueError. add converts and checks every field
-    before it writes any of the row, so an add that raises leaves the ring as
-    it was."""
+    The states table holds base states only. Each row keeps the slot of its
+    base and one patch: its state is the base with BASE_PATCH entries
+    written over it, and its next state is that state with PATCH entries
+    written over it. The patch holds the positions, then the bits of their
+    values, padded by repeats; positions count over the state followed by
+    the next state, so a next-state entry e sits at state_dim + e. Entries
+    are compared by bit pattern, so -0.0 and NaN round-trip.
+
+    A state that differs from the current base in more than BASE_PATCH
+    entries becomes the next base, written at slot n_bases % capacity. Base
+    n's slot is rewritten only by base n + capacity, and every row that reads
+    base n was added before base n + 1 was made, so by then that row has left
+    the last capacity rows.
+
+    A next state may differ from its state in at most PATCH entries: a
+    request changes only its cell's users, CPU and memory and its VNF's
+    deployed flag. add refuses any other next state with a ValueError, and
+    params that are not two real numbers. add converts and checks every
+    field before it writes anything, so an add that raises leaves the ring
+    as it was."""
 
     PATCH = 4  # entries one env request changes, as above
+    BASE_PATCH = 8  # entries a stored state may differ from its base in
 
     def __init__(self, capacity: int, state_dim: int):
+        keep_freed_memory()  # before the ring's arrays are allocated
         self.capacity = capacity
         self.states = np.zeros((capacity, state_dim), dtype=DTYPE)
         # the per-row arrays below are written before any read of their row,
         # so they are left unzeroed: zeroing reused heap memory touches it all
+        self.base_slots = np.empty(capacity, dtype=np.int64)
         self.actions = np.empty(capacity, dtype=np.int64)
         self.params = np.empty((capacity, 2), dtype=DTYPE)
         self.rewards = np.empty(capacity, dtype=DTYPE)
-        # each row's patch: PATCH positions, then the bits of their PATCH values
-        self.patches = np.empty((capacity, 2 * self.PATCH), dtype=np.int32)
-        self._pair = np.empty((2, state_dim), dtype=DTYPE)  # the state and next state being added
-        self._pair_bits = self._pair.view(np.int32)
+        # each row's patch: BASE_PATCH then PATCH positions, then their bits as int32
+        self.patches = np.empty((capacity, 2 * (self.BASE_PATCH + self.PATCH)), dtype=np.int32)
         self.size = 0
         self.cursor = 0
+        self.n_bases = 0
+        # the current base, the state and the next state being added; comparing
+        # the last two rows' bits with the first two finds the state's changes
+        # from the base, then the next state's from the state, at the patch's
+        # positions
+        self._rows = np.zeros((3, state_dim), dtype=DTYPE)
+        bits = self._rows.view(np.int32).reshape(-1)
+        self._older, self._newer = bits[:2 * state_dim], bits[state_dim:]
 
     def add(self, state, action_index: int, params, reward: float, next_state):
-        pair, (before, after) = self._pair, self._pair_bits
-        pair[0] = state
-        pair[1] = next_state
-        diff = (after != before).nonzero()[0].tolist()
-        if len(diff) > self.PATCH:
-            raise ValueError(f"next state differs from its state in {len(diff)} entries; "
+        rows, dim = self._rows, self.states.shape[1]
+        rows[1] = state
+        rows[2] = next_state
+        diff = (self._newer != self._older).nonzero()[0].tolist()
+        split = bisect.bisect_left(diff, dim)
+        changed, moved = diff[:split], diff[split:]
+        if len(moved) > self.PATCH:
+            raise ValueError(f"next state differs from its state in {len(moved)} entries; "
                              f"the replay ring stores at most {self.PATCH}")
         action_index = operator.index(action_index)
-        params = np.asarray(params, dtype=DTYPE)
-        if params.shape != (2,):
-            raise ValueError(f"params of shape {params.shape}; a transition has (d_cpu, d_mem)")
+        deltas = np.asarray(params)
+        if deltas.shape != (2,):
+            raise ValueError(f"params of shape {deltas.shape}; a transition has (d_cpu, d_mem)")
+        for name, d in zip(("d_cpu", "d_mem"), params):  # a bool is an int, not a delta
+            if type(d) is not float and (type(d) is bool or not isinstance(d, numbers.Real)):
+                raise ValueError(f"params: {name} is {d!r}, not a real number")
         reward = float(reward)
+        if len(changed) > self.BASE_PATCH or not self.n_bases:
+            self.states[self.n_bases % self.capacity] = rows[1]
+            rows[0] = rows[1]
+            self.n_bases += 1
+            changed = []
         i = self.cursor
-        self.states[i] = pair[0]
+        self.base_slots[i] = (self.n_bases - 1) % self.capacity
         self.actions[i] = action_index
-        self.params[i] = params
+        self.params[i] = deltas
         self.rewards[i] = reward
-        p, q, r, s = (diff * self.PATCH or [0] * self.PATCH)[:self.PATCH]  # padded by repeats
-        v = after.item
-        self.patches[i] = p, q, r, s, v(p), v(q), v(r), v(s)
+        pos = ((changed * self.BASE_PATCH or [0] * self.BASE_PATCH)[:self.BASE_PATCH]
+               + (moved * self.PATCH or [dim] * self.PATCH)[:self.PATCH])  # padded by repeats
+        self.patches[i] = pos + list(map(self._newer.item, pos))
         self.cursor = (i + 1) % self.capacity
         if self.size < self.capacity:
             self.size += 1
@@ -135,12 +168,17 @@ class ReplayBuffer:
         if self.size == 0:
             raise ValueError("cannot sample from an empty buffer")
         idx = rng.integers(0, self.size, size=batch_size)
-        states = np.take(self.states, idx, axis=0)
-        next_states = states.copy()
+        states = np.take(self.states, np.take(self.base_slots, idx), axis=0)
         patches = np.take(self.patches, idx, axis=0)
-        starts = np.arange(batch_size)[:, None] * self.states.shape[1]  # flat, per batch row
-        np.put(next_states.view(np.int32), starts + patches[:, :self.PATCH],
-               patches[:, self.PATCH:])
+        k = self.BASE_PATCH + self.PATCH
+        pos, values = patches[:, :k], patches[:, k:]
+        dim = self.states.shape[1]
+        starts = np.arange(batch_size)[:, None] * dim  # flat, per batch row
+        np.put(states.view(np.int32), starts + pos[:, :self.BASE_PATCH],
+               values[:, :self.BASE_PATCH])
+        next_states = states.copy()
+        np.put(next_states.view(np.int32), (starts - dim) + pos[:, self.BASE_PATCH:],
+               values[:, self.BASE_PATCH:])
         return (states, np.take(self.actions, idx), np.take(self.params, idx, axis=0),
                 np.take(self.rewards, idx), next_states)
 
@@ -189,11 +227,14 @@ def keep_freed_memory():
 
     By default malloc hands an update's freed temporaries back to the
     kernel, and the next update faults their pages in again: about a third
-    of an update's time. The 4 MiB mmap threshold keeps the temporaries on
-    the heap and leaves the replay arrays lazily paged mmaps. Called before
-    the first update, not at import, so a process that never trains keeps
-    malloc's defaults and its smaller peak memory. A malloc setting the
-    user made (environment or GLIBC_TUNABLES) is kept."""
+    of an update's time. The 64 MiB trim threshold keeps them in the
+    process. The 4 MiB mmap threshold keeps the temporaries on the heap and
+    the replay arrays lazily paged mmaps. The replay ring calls this before
+    it allocates its arrays, so every ring is placed under fixed thresholds:
+    glibc's default threshold rises as large blocks are freed, and in a
+    process of two commands it put the second command's ring on the heap. A
+    process that builds no learner keeps malloc's defaults. A malloc setting
+    the user made (environment or GLIBC_TUNABLES) is kept."""
     if ("MALLOC_TRIM_THRESHOLD_" in os.environ or "MALLOC_MMAP_THRESHOLD_" in os.environ
             or "glibc.malloc." in os.environ.get("GLIBC_TUNABLES", "")):
         return
@@ -291,7 +332,8 @@ class LearnerBase:
     def store(self, state, action_index: int, params, reward: float, next_state):
         """Add one transition to replay, cast to DTYPE. next_state may differ
         from state in at most ReplayBuffer.PATCH entries, as every env
-        transition does; any other raises ValueError and stores nothing."""
+        transition does, and params must be two real numbers; any other
+        raises ValueError and stores nothing."""
         self.buffer.add(state, action_index, params, reward, next_state)
 
     def _clipped_noise(self, shape) -> np.ndarray:
@@ -327,7 +369,6 @@ class LearnerBase:
         """One optimization round; a no-op until the warmup fill is reached."""
         if self.buffer.size < self.cfg.warmup_size:
             return {"trained": False, "eps": self.eps, "clip_c": self.clip_c}
-        keep_freed_memory()
         stats = self._update(self.buffer.sample(self.cfg.batch_size, self.rng))
         self.updates += 1
         for key, value in stats.items():

@@ -770,12 +770,13 @@ def _has_glibc_mallopt() -> bool:
 @pytest.mark.skipif(resource is None or not _has_glibc_mallopt(),
                     reason="needs the resource module and glibc mallopt")
 class TestMallocSetting:
-    """From their first update on, the learners keep freed memory in the
-    process, so updates stop faulting their temporaries' pages in again; a
-    malloc setting the user made wins."""
+    """Building a learner, whose replay ring fixes malloc's thresholds,
+    makes the process keep freed memory, so blocks freed and taken again,
+    an update's temporaries among them, stop faulting their pages in again;
+    a malloc setting the user made wins."""
 
     VARS = ("MALLOC_TRIM_THRESHOLD_", "MALLOC_MMAP_THRESHOLD_", "GLIBC_TUNABLES")
-    CODE = """
+    TRAIN = """
 import resource
 import vnf_lab
 import numpy as np
@@ -799,19 +800,41 @@ for _ in range(50):
     agent.train_step()
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
+    # no update: 20 blocks of 1 MiB taken and freed three times, the faults
+    # of the last two rounds counted; malloc's defaults hand them back each time
+    BUILD = """
+import resource
+import vnf_lab
+import numpy as np
+from vnf_lab.pat import PatAgent
+agent = PatAgent(30, 4, (50.0, 50.0), seed=0)
+faults = 0
+for round in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    blocks = [np.ones(1 << 17) for _ in range(20)]
+    del blocks
+    if round:
+        faults += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(faults)
+"""
 
-    def faults(self, **preset) -> int:
+    def faults(self, code, **preset) -> int:
         env = {k: v for k, v in os.environ.items() if k not in self.VARS}
         env.update(preset)
         src = os.path.dirname(os.path.dirname(vnf_lab.__file__))
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run([sys.executable, "-c", self.CODE], env=env, check=True,
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                              capture_output=True, text=True, timeout=120).stdout
         return int(out.split()[-1])
 
     def test_updates_stop_faulting_unless_the_user_set_malloc(self):
-        assert self.faults() < 50
-        assert self.faults(MALLOC_MMAP_THRESHOLD_="131072") >= 50 * 50
+        assert self.faults(self.TRAIN) < 50
+        assert self.faults(self.TRAIN, MALLOC_MMAP_THRESHOLD_="131072") >= 50 * 50
+
+    def test_building_a_learner_keeps_freed_memory_unless_the_user_set_malloc(self):
+        assert self.faults(self.BUILD) < 50
+        for var in ("MALLOC_MMAP_THRESHOLD_", "MALLOC_TRIM_THRESHOLD_"):
+            assert self.faults(self.BUILD, **{var: "131072"}) >= 2 * 20 * 256, var
 
 
 class TestPerfbench:

@@ -1,5 +1,6 @@
 """Parameterized-action learner: selection, targets, updates, persistence."""
 
+import collections
 import json
 import struct
 
@@ -56,7 +57,7 @@ def energize(net, rng, std=0.3):
         b[:] = rng.normal(0, std, b.shape)
 
 
-REPLAY_DIM = 6
+REPLAY_DIM = 20  # past 2 * BASE_PATCH: room to move more than BASE_PATCH entries from a base, twice
 # entries that collide often, in the ring's dtype; -0.0 against 0.0 and two
 # NaN payloads differ only in bits
 REPLAY_VALUES = np.array([0.0, -0.0, 1.0, np.nan, np.nan], dtype=DTYPE)
@@ -65,28 +66,38 @@ bits(REPLAY_VALUES)[-1] = 0x7FC00123
 
 @st.composite
 def replay_scripts(draw):
-    """A capacity of 5-7 and up to 40 adds and samples. Each added next state
-    is drawn one of three ways: its own state with 0-4 entries changed, its
-    own state with 5 or all entries changed, or the following added state.
-    Changes that flip a sign bit (0.0 to -0.0, one NaN to another) are among
-    them. Each add carries its way."""
+    """A capacity of 5-7 and up to 40 adds and samples. Each added state is
+    the one before it with 0-4 entries changed, as a request changes it, or
+    with 9 or more changed, which moves it past BASE_PATCH from any base near
+    the one before. Each added next state is drawn one of three ways: its own
+    state with 0-4 entries changed, its own state with 5 or all entries
+    changed, or the following added state. Changes that flip a sign bit (0.0
+    to -0.0, one NaN to another) are among them. Each add carries its way."""
     capacity = draw(st.integers(5, 7))
     n = draw(st.integers(1, 40))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    states = rng.choice(REPLAY_VALUES, (n + 1, REPLAY_DIM))
-    ops = []
-    for t in range(n):
-        way = draw(st.sampled_from(["patched", "whole", "following"]))
-        next_state = states[t + (way == "following")].copy()
-        k = {"patched": draw(st.integers(0, 4)),
-             "whole": draw(st.sampled_from([5, REPLAY_DIM])), "following": 0}[way]
+
+    def changed(state, k):
+        state = state.copy()
         for pos in rng.choice(REPLAY_DIM, k, replace=False):
-            entry = bits(next_state[pos:pos + 1])
+            entry = bits(state[pos:pos + 1])
             if draw(st.booleans()):
                 entry ^= np.int32(-2**31)  # the sign bit
             else:
                 entry[0] = bits(np.array(rng.normal(), dtype=DTYPE))
+        return state
+
+    states = [rng.choice(REPLAY_VALUES, REPLAY_DIM)]
+    for _ in range(n):
+        k = draw(st.one_of(st.integers(0, 4), st.integers(9, REPLAY_DIM)))
+        states.append(changed(states[-1], k))
+    ops = []
+    for t in range(n):
+        way = draw(st.sampled_from(["patched", "whole", "following"]))
+        k = {"patched": draw(st.integers(0, 4)),
+             "whole": draw(st.sampled_from([5, REPLAY_DIM])), "following": 0}[way]
+        next_state = changed(states[t + (way == "following")], k)
         ops.append(("add", way, states[t].copy(), int(rng.integers(4)), rng.normal(0, 1, 2),
                     float(rng.normal()), next_state))
         if draw(st.booleans()):
@@ -96,8 +107,20 @@ def replay_scripts(draw):
 
 
 def ring_arrays(buf):
-    """Copies of every array of a ReplayBuffer."""
-    return [a.copy() for a in (buf.states, buf.actions, buf.params, buf.rewards, buf.patches)]
+    """Copies of every array of a ReplayBuffer, its base count among them."""
+    return [a.copy() for a in (buf.states, buf.base_slots, buf.actions, buf.params,
+                               buf.rewards, buf.patches)] + [np.array(buf.n_bases)]
+
+
+def ring_row(buf, i):
+    """Row i's state and next state, rebuilt from its base and its patch."""
+    dim, k = buf.states.shape[1], buf.BASE_PATCH + buf.PATCH
+    pos, values = buf.patches[i, :k], buf.patches[i, k:]
+    state = buf.states[buf.base_slots[i]].copy()
+    bits(state)[pos[:buf.BASE_PATCH]] = values[:buf.BASE_PATCH]
+    next_state = state.copy()
+    bits(next_state)[pos[buf.BASE_PATCH:] - dim] = values[buf.BASE_PATCH:]
+    return state, next_state
 
 
 class TestReplayBuffer:
@@ -106,7 +129,7 @@ class TestReplayBuffer:
         for i in range(6):
             buf.add(np.full(2, i), i % 3, np.zeros(2), float(i), np.zeros(2))
         assert buf.size == 4 and buf.cursor == 2
-        kept = sorted(buf.states[:, 0].tolist())
+        kept = sorted(ring_row(buf, i)[0][0] for i in range(buf.size))
         assert kept == [2.0, 3.0, 4.0, 5.0]
 
     def test_single_element_sampling(self):
@@ -118,70 +141,100 @@ class TestReplayBuffer:
         assert (params == [1.0, 2.0]).all()
 
     def test_bad_field_leaves_the_full_ring_as_it_was(self):
-        """An add whose params has the wrong shape raises before it writes
-        any of the row: on a full ring, row 0 keeps its old transition."""
-        buf = ReplayBuffer(2, 3)
+        """An add whose params are not two real numbers raises before it
+        writes any of the row: on a full ring, row 0 keeps its old
+        transition, and the add's state, far from the base, makes no base.
+        A NaN delta is a real number and is stored."""
+        buf = ReplayBuffer(2, 10)
         for i in range(2):
-            buf.add(np.full(3, float(i)), i, (0.5, 0.5), 0.1, np.full(3, float(i)))
+            buf.add(np.full(10, float(i)), i, (0.5, 0.5), 0.1, np.full(10, float(i)))
         before = ring_arrays(buf)
-        with pytest.raises(ValueError, match=r"params of shape \(3,\)"):
-            buf.add(np.full(3, 9.0), 2, (1.0, 2.0, 3.0), 0.2, np.full(3, 9.0))
-        for a, b in zip(ring_arrays(buf), before):
-            assert (bits(a) == bits(b)).all()
-        assert buf.size == 2 and buf.cursor == 0
+        for params, error in (((1.0, 2.0, 3.0), r"params of shape \(3,\)"),
+                              ((1.0, None), "d_mem is None, not a real number"),
+                              (("2", 3.0), "d_cpu is '2', not a real number"),
+                              ((True, 3.0), "d_cpu is True, not a real number")):
+            with pytest.raises(ValueError, match=error):
+                buf.add(np.full(10, 9.0), 2, params, 0.2, np.full(10, 9.0))
+            for a, b in zip(ring_arrays(buf), before):
+                assert (bits(a) == bits(b)).all()
+            assert buf.size == 2 and buf.cursor == 0 and buf.n_bases == 2
+        buf.add(np.full(10, 9.0), 2, (float("nan"), np.float32(2.0)), 0.2, np.full(10, 9.0))
+        assert np.isnan(buf.params[0, 0]) and buf.params[0, 1] == 2.0
 
     def test_empty_buffer_rejects_sampling(self):
         with pytest.raises(ValueError):
             ReplayBuffer(4, 2).sample(1, np.random.default_rng(0))
 
-    @settings(max_examples=150, deadline=None)
-    @given(replay_scripts())
-    def test_samples_equal_the_two_array_ring_bitwise(self, script):
-        """Next states that differ from their own state in 0-4 entries,
-        signed zeros and NaNs among them, in rings of 5-7 rows that wrap,
-        sampled at any point, even straight after an add, by a caller that
-        reuses its next_state array: every sampled array and the rng state
-        equal those of the ring as first written. A next state that differs
-        in more entries (5 or all of them, or the following state when it
-        does) is refused with a ValueError that leaves every array, the size
-        and the cursor as they were, and the reference ring skips it."""
-        capacity, ops, seed = script
-        got = ReplayBuffer(capacity, REPLAY_DIM)
-        want = reference.ReplayBufferReference(capacity, REPLAY_DIM)
-        rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
-        for op in ops:
-            if op[0] == "sample" and want.size == 0:  # every add so far was refused
-                for ring, rng in ((got, rng_got), (want, rng_want)):
-                    with pytest.raises(ValueError, match="empty"):
-                        ring.sample(op[1], rng)
-            elif op[0] == "sample":
-                for g, w in zip(got.sample(op[1], rng_got), want.sample(op[1], rng_want)):
-                    assert g.dtype == w.dtype
-                    assert (bits(g) == bits(w)).all()
-            else:
-                _, way, state, action, params, reward, next_state = op
-                changed = int((bits(next_state) != bits(state)).sum())
-                assert (changed > ReplayBuffer.PATCH) == (way == "whole") or way == "following"
-                if changed > ReplayBuffer.PATCH:
-                    before = ring_arrays(got)
-                    with pytest.raises(ValueError, match=f"in {changed} entries"):
-                        got.add(state, action, params, reward, next_state)
-                    for a, b in zip(ring_arrays(got), before):
-                        assert (bits(a) == bits(b)).all()
+    def test_samples_equal_the_two_array_ring_bitwise(self):
+        """States that drift from the base by up to 4 entries an add or jump
+        by 9 or more, next states that differ from their own state in 0-4
+        entries, signed zeros and NaNs among them, in rings of 5-7 rows that
+        wrap, sampled at any point, even straight after an add, by a caller
+        that reuses its next_state array: every sampled array and the rng
+        state equal those of the ring as first written. A state becomes a
+        base exactly when it differs from the last base in more than
+        BASE_PATCH entries. A next state that differs in more entries (5 or
+        all of them, or the following state when it does) is refused with a
+        ValueError that leaves every array, the base count, the size and the
+        cursor as they were, and the reference ring skips it. Re-bases, more
+        bases than the ring has rows and refused adds whose state would have
+        made a base are all drawn."""
+        seen = collections.Counter()
+
+        @settings(max_examples=150, deadline=None)
+        @given(replay_scripts())
+        def check(script):
+            capacity, ops, seed = script
+            got = ReplayBuffer(capacity, REPLAY_DIM)
+            want = reference.ReplayBufferReference(capacity, REPLAY_DIM)
+            rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+            base, bases = None, 0
+            for op in ops:
+                if op[0] == "sample" and want.size == 0:  # every add so far was refused
+                    for ring, rng in ((got, rng_got), (want, rng_want)):
+                        with pytest.raises(ValueError, match="empty"):
+                            ring.sample(op[1], rng)
+                elif op[0] == "sample":
+                    for g, w in zip(got.sample(op[1], rng_got), want.sample(op[1], rng_want)):
+                        assert g.dtype == w.dtype
+                        assert (bits(g) == bits(w)).all()
                 else:
-                    for ring in (got, want):
-                        ring.add(state, action, params, reward, next_state)
-                next_state[:] = 7.0  # the caller reuses its array
-            assert got.size == want.size and got.cursor == want.cursor
-        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+                    _, way, state, action, params, reward, next_state = op
+                    changed = int((bits(next_state) != bits(state)).sum())
+                    assert (changed > ReplayBuffer.PATCH) == (way == "whole") or way == "following"
+                    far = base is None or (bits(state) != bits(base)).sum() > ReplayBuffer.BASE_PATCH
+                    if changed > ReplayBuffer.PATCH:
+                        before = ring_arrays(got)
+                        with pytest.raises(ValueError, match=f"in {changed} entries"):
+                            got.add(state, action, params, reward, next_state)
+                        for a, b in zip(ring_arrays(got), before):
+                            assert (bits(a) == bits(b)).all()
+                        seen["refused far state"] += far and base is not None
+                    else:
+                        for ring in (got, want):
+                            ring.add(state, action, params, reward, next_state)
+                        if far:
+                            base, bases = state, bases + 1
+                            seen["re-base"] += bases > 1
+                    next_state[:] = 7.0  # the caller reuses its array
+                assert got.size == want.size and got.cursor == want.cursor
+                assert got.n_bases == bases
+            seen["more bases than rows"] += bases > capacity
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+        check()
+        assert min(seen[case] for case in ("re-base", "more bases than rows",
+                                           "refused far state")) > 0
 
     @pytest.mark.parametrize("kind", ["pat", "ddqn", "ddpg"])
     def test_desk_training_stores_every_transition(self, kind):
         """The env changes at most ReplayBuffer.PATCH entries per request, so
         a desk train that wraps the ring and samples from it stores every
         transition the env makes: the ring holds the last capacity of them,
-        every array and each patched next state bitwise those of the ring as
-        first written fed the env's records."""
+        every array and each row's rebuilt state and next state bitwise those
+        of the ring as first written fed the env's records. A request moves
+        a state by a few entries, so the ring makes a base for at most a
+        quarter of its adds."""
         doc = {"pool": {"k_servers": 3, "n_vnfs": 3},
                "agent": {"kind": kind, "warmup_size": 300, "batch_size": 32,
                          "buffer_capacity": 500},
@@ -205,10 +258,9 @@ class TestReplayBuffer:
         buf = agent.buffer
         assert agent.updates > 0 and len(made) > buf.capacity  # sampled and wrapped
         assert buf.size == want.size and buf.cursor == want.cursor
-        next_states = buf.states.copy()
-        for row, patch in zip(next_states, buf.patches):
-            bits(row)[patch[:buf.PATCH]] = patch[buf.PATCH:]
-        for g, w in ((buf.states, want.states), (buf.actions, want.actions),
+        assert 1 < buf.n_bases <= len(made) / 4
+        states, next_states = map(np.array, zip(*(ring_row(buf, i) for i in range(buf.size))))
+        for g, w in ((states, want.states), (buf.actions, want.actions),
                      (buf.params, want.params), (buf.rewards, want.rewards),
                      (next_states, want.next_states)):
             assert (bits(g) == bits(w)).all()
