@@ -77,7 +77,7 @@ def main(argv=None) -> int:
             seed = harness.resolve_seed(cfg, args.seed)
             kind = cfg.agent["kind"]
             if kind not in harness.LEARNERS:
-                agent = harness.build_agent(cfg, harness.build_env(cfg, seed, stream=1), seed)
+                agent = harness.build_agent(cfg, None, seed)
             else:
                 ckpt = args.checkpoint or cfg.run.checkpoint_path
                 if not ckpt:

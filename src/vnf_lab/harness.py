@@ -18,7 +18,7 @@ import numpy as np
 
 from .env import (VnfSpec, CostParams, PoolConfig, TrafficConfig, VnfEnv,
                   EpochMetrics)
-from .pat import LearnerBase, PatAgent
+from .pat import LearnerBase, PatAgent, PatConfig
 from .baselines import GreedyAgent, CloudAgent, RandomAgent, DdqnPairAgent, DdpgPairAgent
 
 SEED_ENV_VAR = "VNF_LAB_SEED"
@@ -31,9 +31,10 @@ KPI_KEYS = tuple(f.name for f in METRIC_FIELDS if f.name not in ("epoch", "eps",
 
 # stable stream tags so every agent kind draws from its own seed lineage
 AGENT_KINDS = {"pat": 1, "greedy": 2, "cloud": 3, "random": 4, "ddqn": 5, "ddpg": 6}
-# the learners by kind, and each one's config class, whose fields are the agent block's keys
+# the learners by kind; each one's config class (_CONFIG) has its agent block's keys as fields
 LEARNERS = {cls._KIND: cls for cls in (PatAgent, DdqnPairAgent, DdpgPairAgent)}
-RL_CONFIGS = {kind: cls._CONFIG for kind, cls in LEARNERS.items()}
+# the agent-block keys that price requests; every kind's block takes them
+PRICING = ("beta", "gamma_max")
 
 # default catalogue: ten service profiles
 # (c0, cr, dc, m0, mr, dm, qos_min, qos_max, gamma_sla, mu_arr, sigma_arr)
@@ -91,8 +92,8 @@ def default_vnfs(count: int | None = None) -> list:
 def default_agent_config(kind: str) -> dict:
     if kind not in AGENT_KINDS:
         raise ConfigError(f"agent.kind: unknown agent {kind!r}")
-    if kind in RL_CONFIGS:
-        return {"kind": kind, **asdict(RL_CONFIGS[kind]())}
+    if kind in LEARNERS:
+        return {"kind": kind, **asdict(LEARNERS[kind]._CONFIG())}
     return {"kind": kind}
 
 
@@ -147,25 +148,25 @@ def _build_section(cls, data: dict, path: str):
 
 
 def _agent_block(doc) -> dict:
-    """doc over its kind's defaults, every key known to that kind and range-checked."""
+    """doc over its kind's defaults; each key is its kind's or a PRICING key, and range-checked."""
     if not isinstance(doc, dict):
         raise ConfigError("agent: expected an object")
     kind = doc.get("kind", "pat")
     base = default_agent_config(kind)
     for key in doc:
-        if key not in base:
+        if key not in base and key not in PRICING:
             raise ConfigError(f"agent.{key}: unknown key for agent {kind!r}")
     agent = {**base, **doc}
-    if kind in RL_CONFIGS:
-        _build_section(RL_CONFIGS[kind], {k: v for k, v in agent.items() if k != "kind"},
-                       "agent")
+    config = LEARNERS[kind]._CONFIG if kind in LEARNERS else PatConfig
+    _build_section(config, {k: v for k, v in agent.items() if k != "kind"}, "agent")
     return agent
 
 
 def with_agent(cfg: ExperimentConfig, kind: str) -> ExperimentConfig:
     """cfg running agent kind: with its own agent block when that block is of
-    this kind, else with the kind's defaults; the block is checked either way."""
-    doc = cfg.agent if cfg.agent.get("kind") == kind else {"kind": kind}
+    this kind, else with the kind's defaults and the block's PRICING keys; checked either way."""
+    doc = cfg.agent if cfg.agent.get("kind") == kind else \
+        {"kind": kind, **{key: cfg.agent[key] for key in PRICING if key in cfg.agent}}
     return dataclasses.replace(cfg, agent=_agent_block(doc))
 
 
@@ -240,15 +241,13 @@ def resolve_seed(cfg: ExperimentConfig, cli_seed: int | None = None) -> int:
 
 def build_env(cfg: ExperimentConfig, seed: int, stream: int = 0) -> VnfEnv:
     """stream 0 is the training trace, stream 1 the shared evaluation trace."""
-    agent = cfg.agent
-    beta = float(agent.get("beta", 0.2))
-    gamma_max = float(agent.get("gamma_max", 100.0))
+    pricing = {key: cfg.agent[key] for key in PRICING if key in cfg.agent}
     return VnfEnv(cfg.pool, cfg.vnfs, cfg.costs, cfg.traffic,
-                  seed=np.random.SeedSequence([seed, stream]),
-                  beta=beta, gamma_max=gamma_max)
+                  seed=np.random.SeedSequence([seed, stream]), **pricing)
 
 
-def build_agent(cfg: ExperimentConfig, env: VnfEnv, seed: int):
+def build_agent(cfg: ExperimentConfig, env: VnfEnv | None, seed: int):
+    """cfg's agent; env is read only for a learner's dimensions, so a baseline takes None."""
     agent = cfg.agent
     kind = agent["kind"]
     agent_seed = np.random.SeedSequence([seed, 2, AGENT_KINDS[kind]])
@@ -258,7 +257,7 @@ def build_agent(cfg: ExperimentConfig, env: VnfEnv, seed: int):
         return CloudAgent(cfg.pool)
     if kind == "random":
         return RandomAgent(cfg.pool, seed=agent_seed)
-    rl = RL_CONFIGS[kind](**{k: v for k, v in agent.items() if k != "kind"})
+    rl = LEARNERS[kind]._CONFIG(**{k: v for k, v in agent.items() if k != "kind"})
     return LEARNERS[kind](env.feature_length, env.n_targets,
                           (cfg.pool.rho_max, cfg.pool.eta_max), rl, seed=agent_seed)
 
@@ -418,12 +417,8 @@ def compare(cfg: ExperimentConfig, agent_names, seeds=None, out_dir=None,
         [check_seed(s, f"compare: seeds[{i}]") for i, s in enumerate(seeds)]
     if not seeds:
         raise ConfigError("compare: need at least one seed")
-    # every agent's config is built and checked before any job runs; each is
-    # priced by cfg's block, so the agents' mean_reward share one scale
-    pricing = {key: cfg.agent[key] for key in ("beta", "gamma_max") if key in cfg.agent}
+    # every agent's config is built and checked before any job runs
     acfgs = {name: with_agent(cfg, name) for name in names}
-    acfgs = {name: dataclasses.replace(acfg, agent={**acfg.agent, **pricing})
-             for name, acfg in acfgs.items()}
     per_seed = {name: [] for name in names}
     long_rows = []
     long_keys = tuple(k for k in KPI_KEYS if k != "active_users")

@@ -23,10 +23,10 @@ import bisect
 import functools
 import json
 import math
-import numbers
 import operator
 import os
 from dataclasses import dataclass, asdict
+from numbers import Real
 
 import numpy as np
 
@@ -98,10 +98,10 @@ class ReplayBuffer:
 
     A next state may differ from its state in at most PATCH entries: a
     request changes only its cell's users, CPU and memory and its VNF's
-    deployed flag. add refuses any other next state with a ValueError, and
-    params that are not two real numbers. add converts and checks every
-    field before it writes anything, so an add that raises leaves the ring
-    as it was."""
+    deployed flag. add refuses any other next state with a ValueError, as it
+    does a bool action index and params or a reward that are not real
+    numbers (a bool is none). add converts and checks every field before it
+    writes anything, so an add that raises leaves the ring as it was."""
 
     PATCH = 4  # entries one env request changes, as above
     BASE_PATCH = 8  # entries a stored state may differ from its base in
@@ -139,13 +139,17 @@ class ReplayBuffer:
         if len(moved) > self.PATCH:
             raise ValueError(f"next state differs from its state in {len(moved)} entries; "
                              f"the replay ring stores at most {self.PATCH}")
+        if type(action_index) is bool:  # an int to Python, but no target
+            raise ValueError(f"action_index is {action_index!r}, not an integer")
         action_index = operator.index(action_index)
         deltas = np.asarray(params)
         if deltas.shape != (2,):
             raise ValueError(f"params of shape {deltas.shape}; a transition has (d_cpu, d_mem)")
         for name, d in zip(("d_cpu", "d_mem"), params):  # a bool is an int, not a delta
-            if type(d) is not float and (type(d) is bool or not isinstance(d, numbers.Real)):
+            if type(d) is not float and (type(d) is bool or not isinstance(d, Real)):
                 raise ValueError(f"params: {name} is {d!r}, not a real number")
+        if type(reward) is not float and (type(reward) is bool or not isinstance(reward, Real)):
+            raise ValueError(f"reward is {reward!r}, not a real number")
         reward = float(reward)
         if len(changed) > self.BASE_PATCH or not self.n_bases:
             self.states[self.n_bases % self.capacity] = rows[1]
@@ -332,8 +336,8 @@ class LearnerBase:
     def store(self, state, action_index: int, params, reward: float, next_state):
         """Add one transition to replay, cast to DTYPE. next_state may differ
         from state in at most ReplayBuffer.PATCH entries, as every env
-        transition does, and params must be two real numbers; any other
-        raises ValueError and stores nothing."""
+        transition does, and params and reward must be real numbers; any
+        other raises ValueError and stores nothing."""
         self.buffer.add(state, action_index, params, reward, next_state)
 
     def _clipped_noise(self, shape) -> np.ndarray:

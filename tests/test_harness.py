@@ -155,14 +155,37 @@ def dictmerge(i: int) -> dict:
 
 class TestWithAgent:
     def test_keeps_a_block_of_the_kind_else_takes_its_defaults(self):
-        cfg = desk_cfg(agent={"kind": "pat", "warmup_size": 300})
+        """Another kind gets its defaults plus the block's beta and gamma_max,
+        so every agent of a document is priced alike."""
+        cfg = desk_cfg(agent={"kind": "pat", "warmup_size": 300, "beta": 0.9})
+        pricing = {"beta": 0.9, "gamma_max": 100.0}
         assert with_agent(cfg, "pat").agent == cfg.agent
-        assert with_agent(cfg, "ddqn").agent == harness.default_agent_config("ddqn")
-        assert with_agent(cfg, "cloud").agent == {"kind": "cloud"}
+        assert with_agent(cfg, "ddqn").agent == {**harness.default_agent_config("ddqn"),
+                                                 **pricing}
+        assert with_agent(cfg, "cloud").agent == {"kind": "cloud", **pricing}
+        # a baseline block that sets no pricing carries none, and its own block stays
+        greedy = desk_cfg(agent={"kind": "greedy"})
+        assert with_agent(greedy, "cloud").agent == {"kind": "cloud"}
+        assert with_agent(greedy, "greedy").agent == {"kind": "greedy"}
+        assert with_agent(greedy, "pat").agent == harness.default_agent_config("pat")
         with pytest.raises(ConfigError, match="unknown agent 'sarsa'"):
             with_agent(cfg, "sarsa")
         with pytest.raises(ConfigError, match="tau"):
             with_agent(dataclasses.replace(cfg, agent={"kind": "pat", "tau": 5.0}), "pat")
+
+    def test_a_baseline_block_takes_the_pricing_keys_checked_as_a_learners(self):
+        cfg = desk_cfg(agent={"kind": "random", "beta": 1, "gamma_max": 50.0})
+        assert cfg.agent == {"kind": "random", "beta": 1, "gamma_max": 50.0}
+        env = harness.build_env(cfg, 3)
+        assert (env.beta, env.gamma_max) == (1, 50.0)
+        for block, error in (({"gamma_max": 0}, "^agent: gamma_max must be > 0$"),
+                             ({"beta": "x"}, "^agent: beta takes numbers, not 'x'$"),
+                             ({"tau": 0.5}, "^agent.tau: unknown key for agent 'cloud'$")):
+            with pytest.raises(ConfigError, match=error):
+                desk_cfg(agent={"kind": "cloud", **block})
+        with pytest.raises(ConfigError, match="^agent: gamma_max must be > 0$"):
+            with_agent(dataclasses.replace(cfg, agent={"kind": "pat", "gamma_max": 0}),
+                       "greedy")
 
 
 class TestSeedResolution:
@@ -526,6 +549,38 @@ class TestCli:
         assert cli.main(["train", "--config", path, "--agent", "sarsa",
                          "--out", str(out), "--quiet"]) == 1
         assert "unknown agent" in capsys.readouterr().err
+
+    def test_every_command_prices_an_agent_by_the_document(self, tmp_path):
+        """One document whose pat block sets beta 0.9 and gamma_max 50: for
+        every kind, train --agent K's eval KPIs equal compare's K row exactly,
+        eval --agent K's rows equal compare's for each baseline, and compare
+        from the greedy block that --agent greedy makes keeps the pricing."""
+        path = self.write_cfg(tmp_path, agent={"kind": "pat", "beta": 0.9, "gamma_max": 50.0},
+                              total_epochs=20, eval_epochs=20)
+        kinds = ["pat", "ddqn", "ddpg", "greedy", "cloud", "random"]
+        cfg = harness.load_config(path)
+        result = compare(cfg, kinds)
+        for kind in kinds:
+            out = tmp_path / kind
+            assert cli.main(["train", "--config", path, "--agent", kind,
+                             "--out", str(out), "--quiet"]) == 0
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["eval_kpis"] == result.per_seed[kind][0], kind
+            assert summary["config"]["agent"]["beta"] == 0.9
+            assert summary["config"]["agent"]["gamma_max"] == 50.0
+        for kind in ("greedy", "cloud", "random"):
+            out = tmp_path / f"eval-{kind}"
+            assert cli.main(["eval", "--config", path, "--agent", kind,
+                             "--out", str(out), "--quiet"]) == 0
+            lines = (out / "eval_metrics.csv").read_text().splitlines()
+            header = lines[0].split(",")
+            cells = [dict(zip(header, line.split(","))) for line in lines[1:]]
+            got = [(kind, 3, int(c["epoch"]), key, c[key]) for c in cells for key in header
+                   if key in harness.KPI_KEYS and key != "active_users"]
+            assert got == [(*row[:4], format_float(row[4])) for row in result.long_rows
+                           if row[0] == kind]
+        greedy = compare(with_agent(cfg, "greedy"), ["greedy"])
+        assert greedy.per_seed["greedy"] == result.per_seed["greedy"]
 
     def test_agent_override_keeps_a_block_of_that_kind(self, tmp_path):
         agent = {"kind": "pat", "warmup_size": 300, "batch_size": 16, "buffer_capacity": 1000}

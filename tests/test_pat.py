@@ -141,25 +141,36 @@ class TestReplayBuffer:
         assert (params == [1.0, 2.0]).all()
 
     def test_bad_field_leaves_the_full_ring_as_it_was(self):
-        """An add whose params are not two real numbers raises before it
-        writes any of the row: on a full ring, row 0 keeps its old
-        transition, and the add's state, far from the base, makes no base.
-        A NaN delta is a real number and is stored."""
+        """An add whose action is a bool, or whose params or reward are not
+        real numbers, raises a ValueError naming the field before it writes
+        any of the row: on a full ring, row 0 keeps its old transition, and
+        the add's state, far from the base, makes no base. A bool is an int
+        to Python but neither a target nor a number here. A NaN delta or
+        reward is a real number and is stored."""
         buf = ReplayBuffer(2, 10)
         for i in range(2):
             buf.add(np.full(10, float(i)), i, (0.5, 0.5), 0.1, np.full(10, float(i)))
         before = ring_arrays(buf)
-        for params, error in (((1.0, 2.0, 3.0), r"params of shape \(3,\)"),
-                              ((1.0, None), "d_mem is None, not a real number"),
-                              (("2", 3.0), "d_cpu is '2', not a real number"),
-                              ((True, 3.0), "d_cpu is True, not a real number")):
+        for action, params, reward, error in (
+                (2, (1.0, 2.0, 3.0), 0.2, r"params of shape \(3,\)"),
+                (2, (1.0, None), 0.2, "d_mem is None, not a real number"),
+                (2, ("2", 3.0), 0.2, "d_cpu is '2', not a real number"),
+                (2, (True, 3.0), 0.2, "d_cpu is True, not a real number"),
+                (True, (0.0, 0.0), 0.2, "action_index is True, not an integer"),
+                (2, (0.0, 0.0), "0.5", "reward is '0.5', not a real number"),
+                (2, (0.0, 0.0), True, "reward is True, not a real number"),
+                (2, (0.0, 0.0), None, "reward is None, not a real number")):
             with pytest.raises(ValueError, match=error):
-                buf.add(np.full(10, 9.0), 2, params, 0.2, np.full(10, 9.0))
+                buf.add(np.full(10, 9.0), action, params, reward, np.full(10, 9.0))
             for a, b in zip(ring_arrays(buf), before):
                 assert (bits(a) == bits(b)).all()
             assert buf.size == 2 and buf.cursor == 0 and buf.n_bases == 2
-        buf.add(np.full(10, 9.0), 2, (float("nan"), np.float32(2.0)), 0.2, np.full(10, 9.0))
+        buf.add(np.full(10, 9.0), 2, (float("nan"), np.float32(2.0)), float("nan"),
+                np.full(10, 9.0))
         assert np.isnan(buf.params[0, 0]) and buf.params[0, 1] == 2.0
+        assert np.isnan(buf.rewards[0])
+        buf.add(np.full(10, 9.0), np.int64(1), (0.0, 0.0), np.float32(0.5), np.full(10, 9.0))
+        assert buf.actions[1] == 1 and buf.rewards[1] == 0.5
 
     def test_empty_buffer_rejects_sampling(self):
         with pytest.raises(ValueError):
