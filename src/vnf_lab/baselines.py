@@ -4,7 +4,8 @@ deterministic-gradient parameter actor).
 
 Every agent implements select(features, vnf, state, has_user) -> ParamAction;
 the two pairs run on pat.LearnerBase, so they share the PAT learner's replay,
-schedules, train_step and checkpoints.
+schedules, select, train_step with its soft updates and checkpoints, and the
+DDPG pair's parameter side is PAT's actor-critic update with one critic.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .env import ParamAction, PoolConfig, resource_range
-from .pat import DTYPE, HIDDEN, LearnerBase, PatConfig, ascend_param_actor, regress_critic
+from .pat import HIDDEN, LearnerBase, PatConfig
 from . import nn
 
 
@@ -138,10 +139,11 @@ def dqn_update(net: nn.Mlp, target: nn.Mlp, adam: nn.AdamState,
 
 
 class _PairedLearner(LearnerBase):
-    """Two-network baselines: a double-DQN server selector and a parameter
-    side, trained in alternating phases of alternation_period updates."""
+    """Two-network baselines: a double-DQN server selector and a parameter side
+    (_update_params), trained in alternating phases of alternation_period updates."""
 
     _CONFIG = BaselineRlConfig
+    _SELECTOR = "server_q"
 
     @property
     def phase(self) -> int:
@@ -150,12 +152,10 @@ class _PairedLearner(LearnerBase):
 
     def _update(self, batch) -> dict:
         if self.phase == 1:
-            return {"loss": self._update_params(batch)}
+            return {"loss": self._update_params(batch)[0]}
         states, actions, _, rewards, next_states = batch
-        loss = dqn_update(self.server_q, self.t_server_q, self.adam_server,
-                          states, actions, rewards, next_states, self.cfg.gamma)
-        nn.soft_update(self.t_server_q, self.server_q, self.cfg.tau)
-        return {"loss": loss}
+        return {"loss": dqn_update(self.server_q, self.t_server_q, self.adam_server,
+                                   states, actions, rewards, next_states, self.cfg.gamma)}
 
 
 class DdqnPairAgent(_PairedLearner):
@@ -164,66 +164,37 @@ class DdqnPairAgent(_PairedLearner):
 
     _KIND = "ddqn"
     _ADAMS = {"adam_server": "server_q", "adam_param": "param_q"}
+    _PARAM_NET = "param_q"
 
     def _build(self, s: int, a: int):
         self.grid = DiscretizedGrid(self.cfg.resolution, *self._box)
         self._init_nets(server_q=self._net(s, *HIDDEN, a),
                         param_q=self._net(s, *HIDDEN, self.grid.n_cells))
 
-    def select(self, features, vnf: int = 0, state=None, has_user: bool = True) -> ParamAction:
-        s = np.asarray(features, dtype=DTYPE)
-        explore = not self.eval_mode
-        a = self._eps_greedy(self.server_q, s, explore)
+    def _actor_step(self, param_q: nn.Mlp, s, a: int, explore: bool) -> ParamAction:
+        """Target a with the epsilon-greedy lattice cell of param_q."""
         if a == self.cloud_action:
             return ParamAction(a, 0.0, 0.0)
-        dc, dm = self.grid.delta(self._eps_greedy(self.param_q, s, explore))
-        return ParamAction(a, dc, dm)
+        return ParamAction(a, *self.grid.delta(self._eps_greedy(param_q, s, explore)))
 
-    def _update_params(self, batch) -> float:
+    def _update_params(self, batch) -> tuple:
         states, _, params, rewards, next_states = batch
-        cells = self.grid.cells_of(params)
-        loss = dqn_update(self.param_q, self.t_param_q, self.adam_param,
-                          states, cells, rewards, next_states, self.cfg.gamma)
-        nn.soft_update(self.t_param_q, self.param_q, self.cfg.tau)
-        return loss
+        return (dqn_update(self.param_q, self.t_param_q, self.adam_param, states,
+                           self.grid.cells_of(params), rewards, next_states, self.cfg.gamma),)
 
 
 class DdpgPairAgent(_PairedLearner):
-    """Double-DQN server selector paired with a deterministic parameter actor
-    and a single critic (no twin minimum, no target smoothing noise)."""
+    """Double-DQN server selector paired with PAT's actor-critic parameter
+    side on a single critic, bootstrapped at the online selector's next
+    target with no target smoothing noise."""
 
     _KIND = "ddpg"
     _ADAMS = {"adam_server": "server_q", "adam_actor": "actor", "adam_critic": "critic"}
+    _PARAM_NET = "actor"
+    _NEXT_SELECTOR = "server_q"
+    _CRITICS = ("critic",)
 
     def _build(self, s: int, a: int):
         self._init_nets(server_q=self._net(s, *HIDDEN, a),
                         actor=self._net(s + a, *HIDDEN, 2, scaled=True),
                         critic=self._net(s + a + 2, *HIDDEN, 1))
-
-    def select(self, features, vnf: int = 0, state=None, has_user: bool = True) -> ParamAction:
-        s = np.asarray(features, dtype=DTYPE)
-        explore = not self.eval_mode
-        return self._actor_step(self.actor, s, self._eps_greedy(self.server_q, s, explore),
-                                explore)
-
-    def compute_targets(self, batch):
-        """Single-critic bootstrap at the target actor's noiseless action."""
-        _, _, _, rewards, next_states = batch
-        a_next = np.argmax(nn.forward(self.server_q, next_states), axis=1)
-        oh = self._target_rows[a_next]
-        p_next = nn.forward(self.t_actor, np.concatenate([next_states, oh], axis=1))
-        p_next[a_next == self.cloud_action] = 0.0
-        xc = self._critic_input(next_states, oh, p_next)
-        return rewards + self.cfg.gamma * nn.forward(self.t_critic, xc)[:, 0]
-
-    def _update_params(self, batch) -> float:
-        states, actions, params, _, _ = batch
-        y = self.compute_targets(batch)
-        oh = self._target_rows[actions]
-        loss = regress_critic(self.critic, self.adam_critic,
-                              self._critic_input(states, oh, params), y)
-        ascend_param_actor(self.actor, self.adam_actor, self.critic, states, oh,
-                           param_scale=self.p_feat)
-        nn.soft_update(self.t_actor, self.actor, self.cfg.tau)
-        nn.soft_update(self.t_critic, self.critic, self.cfg.tau)
-        return loss

@@ -90,7 +90,7 @@ def default_vnfs(count: int | None = None) -> list:
 
 
 def default_agent_config(kind: str) -> dict:
-    if kind not in AGENT_KINDS:
+    if not isinstance(kind, str) or kind not in AGENT_KINDS:
         raise ConfigError(f"agent.kind: unknown agent {kind!r}")
     if kind in LEARNERS:
         return {"kind": kind, **asdict(LEARNERS[kind]._CONFIG())}

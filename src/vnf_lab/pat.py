@@ -7,8 +7,8 @@ after every update. The discrete actor trains through a softmax relaxation
 of its scores fed to the first critic.
 
 LearnerBase holds what this learner shares with the DDQN and DDPG pairs of
-the baselines module: replay, schedules, exploration, train_step and
-checkpoints.
+the baselines module: replay, schedules, select, train_step, checkpoints and
+the actor-critic update, which the DDPG pair runs with one critic.
 
 The learners compute and store in one dtype, DTYPE (float32): every net,
 gradient and Adam moment, the replay arrays and every batch input. The env's
@@ -64,8 +64,8 @@ class PatConfig:
             raise ValueError("lr must be > 0")
         if not 0 <= self.eps_min <= self.eps <= 1:
             raise ValueError("need 0 <= eps_min <= eps <= 1")
-        if self.eps_decay < 0 or self.sigma_noise < 0:
-            raise ValueError("eps_decay and sigma_noise must be >= 0")
+        if self.eps_decay < 0 or self.sigma_noise < 0 or self.beta < 0:
+            raise ValueError("eps_decay, sigma_noise and beta must be >= 0")
         if not 0 <= self.clip_c_min <= self.clip_c:
             raise ValueError("need 0 <= clip_c_min <= clip_c")
         if self.gamma_max <= 0:
@@ -209,16 +209,6 @@ def ascend_param_actor(actor: nn.Mlp, adam: nn.AdamState, critic: nn.Mlp,
     return p
 
 
-def regress_critic(net: nn.Mlp, adam: nn.AdamState, x: np.ndarray, y: np.ndarray) -> float:
-    """One mean-squared-error step of a scalar critic toward fixed targets;
-    returns the loss before the step."""
-    q, cache = nn.forward_cached(net, x)
-    resid = q[:, 0] - y
-    loss = float(np.mean(resid * resid))
-    adam.step(net, nn.backward(net, cache, (2.0 / x.shape[0]) * resid[:, None]))
-    return loss
-
-
 def _clip(x: float, lo: float, hi: float) -> float:
     """np.clip of one float: NaN stays, a tie takes the bound."""
     x = lo if x <= lo else x
@@ -260,9 +250,9 @@ def npz_path(path) -> str:
 
 
 class LearnerBase:
-    """Plumbing shared by the learners: seeded rng, replay, the update counter
-    and the exploration schedules derived from it, the bounded-delta actor
-    step, warm-up gated training and checkpoints.
+    """What the learners share: seeded rng, replay, the update counter and the
+    exploration schedules derived from it, select, warm-up gated training with
+    its soft updates, checkpoints, and PAT's actor-critic update.
 
     Every kind is built as Kind(state_dim, n_targets, param_scale, cfg, seed),
     param_scale being the (rho_max, eta_max) box of the deltas. A subclass
@@ -275,6 +265,11 @@ class LearnerBase:
     _CONFIG = PatConfig
     _NETS: tuple = ()
     _ADAMS: dict = {}
+    # nets by name: select's target scorer and deltas net, the bootstrap's next-target
+    # net and the critics it takes the least of; whether it smooths the target deltas
+    _SELECTOR = _PARAM_NET = _NEXT_SELECTOR = ""
+    _CRITICS: tuple = ()
+    _SMOOTH = False
 
     def __init_subclass__(cls):
         live = tuple(cls._ADAMS.values())
@@ -316,6 +311,8 @@ class LearnerBase:
             setattr(self, "t_" + name, nn.clone(net))
         for name, net in self._ADAMS.items():
             setattr(self, name, nn.AdamState(getattr(self, net), lr=self.cfg.lr))
+        self._adam_of = {net: getattr(self, name) for name, net in self._ADAMS.items()}
+        self._select_nets = (getattr(self, self._SELECTOR), getattr(self, self._PARAM_NET))
 
     # schedules derive from the update counter so they are exact
     @property
@@ -354,6 +351,13 @@ class LearnerBase:
             return int(self.rng.integers(net.n_out))
         return int(nn.forward(net, s).argmax())
 
+    def select(self, features, vnf: int = 0, state=None, has_user: bool = True) -> ParamAction:
+        """Agent-callback: epsilon-greedy target of the selector net, then its deltas."""
+        s = np.asarray(features, dtype=DTYPE)
+        explore = not self.eval_mode
+        a = self._eps_greedy(self._select_nets[0], s, explore)
+        return self._actor_step(self._select_nets[1], s, a, explore)
+
     def _actor_step(self, actor: nn.Mlp, s: np.ndarray, a: int, explore: bool) -> ParamAction:
         """Target a with the actor's deltas, noisy while exploring and clipped
         to the box; offloads carry no deltas. The noise is _clipped_noise(2)
@@ -370,10 +374,15 @@ class LearnerBase:
         return ParamAction(a, _clip(p_cpu, -rho, rho), _clip(p_mem, -eta, eta))
 
     def train_step(self) -> dict:
-        """One optimization round; a no-op until the warmup fill is reached."""
+        """One optimization round, then the soft update of the t_ copy of each
+        net whose optimizer stepped; a no-op until the warmup fill is reached."""
         if self.buffer.size < self.cfg.warmup_size:
             return {"trained": False, "eps": self.eps, "clip_c": self.clip_c}
+        steps = [adam.t for adam in self._adam_of.values()]
         stats = self._update(self.buffer.sample(self.cfg.batch_size, self.rng))
+        for (name, adam), t in zip(self._adam_of.items(), steps):
+            if adam.t != t:
+                nn.soft_update(getattr(self, "t_" + name), getattr(self, name), self.cfg.tau)
         self.updates += 1
         for key, value in stats.items():
             if not math.isfinite(value):
@@ -383,6 +392,51 @@ class LearnerBase:
 
     def _update(self, batch) -> dict:
         raise NotImplementedError
+
+    def compute_targets(self, batch):
+        """Bootstrapped values and their parts: reward plus the discounted
+        least target critic at the next target and its target deltas."""
+        _, _, _, rewards, next_states = batch
+        a_next = np.argmax(nn.forward(getattr(self, self._NEXT_SELECTOR), next_states), axis=1)
+        oh = self._target_rows[a_next]
+        p_next = nn.forward(getattr(self, "t_" + self._PARAM_NET),
+                            np.concatenate([next_states, oh], axis=1))
+        if self._SMOOTH:
+            noise = self._clipped_noise((next_states.shape[0], 2)).astype(DTYPE)
+            p_next = np.clip(p_next + noise, -self.box, self.box)
+        p_next[a_next == self.cloud_action] = 0.0  # offloads carry no parameters
+        xc = self._critic_input(next_states, oh, p_next)
+        qs = [nn.forward(getattr(self, "t_" + name), xc)[:, 0] for name in self._CRITICS]
+        y = rewards + self.cfg.gamma * functools.reduce(np.minimum, qs)
+        return y, {"a_next": a_next, "p_next": p_next, "q": qs}
+
+    def update_critics(self, batch, y) -> tuple:
+        """One mean-squared-error step of each critic toward y; the losses before it."""
+        states, actions, params, _, _ = batch
+        xc = self._critic_input(states, self._target_rows[actions], params)
+        losses = []
+        for name in self._CRITICS:
+            net = getattr(self, name)
+            q, cache = nn.forward_cached(net, xc)
+            resid = q[:, 0] - y
+            losses.append(float(np.mean(resid * resid)))
+            gq = (2.0 / xc.shape[0]) * resid[:, None]
+            self._adam_of[name].step(net, nn.backward(net, cache, gq))
+        return tuple(losses)
+
+    def update_actors(self, batch):
+        """Ascend the first critic through the parameter actor at the stored targets."""
+        states, actions, _, _, _ = batch
+        ascend_param_actor(getattr(self, self._PARAM_NET), self._adam_of[self._PARAM_NET],
+                           getattr(self, self._CRITICS[0]), states,
+                           self._target_rows[actions], param_scale=self.p_feat)
+
+    def _update_params(self, batch) -> tuple:
+        """The actor-critic update: bootstrap, critics, actors; the critics' losses."""
+        y, _ = self.compute_targets(batch)
+        losses = self.update_critics(batch, y)
+        self.update_actors(batch)
+        return losses
 
     # ------------------------------------------------------------------
     # checkpointing
@@ -454,6 +508,11 @@ class PatAgent(LearnerBase):
     _KIND = "pat"
     _ADAMS = {"adam_actor_action": "actor_action", "adam_actor_param": "actor_param",
               "adam_critic_1": "critic_1", "adam_critic_2": "critic_2"}
+    _SELECTOR = "actor_action"
+    _PARAM_NET = "actor_param"
+    _NEXT_SELECTOR = "t_actor_action"
+    _CRITICS = ("critic_1", "critic_2")
+    _SMOOTH = True
 
     def _build(self, s: int, a: int):
         self._init_nets(actor_action=self._net(s, *HIDDEN, a),
@@ -461,44 +520,11 @@ class PatAgent(LearnerBase):
                         critic_1=self._net(s + a + 2, *HIDDEN, 1),
                         critic_2=self._net(s + a + 2, *HIDDEN, 1))
 
-    def select(self, features, vnf: int = 0, state=None, has_user: bool = True) -> ParamAction:
-        """Agent-callback: epsilon-greedy target, noisy bounded deltas."""
-        s = np.asarray(features, dtype=DTYPE)
-        explore = not self.eval_mode
-        a = self._eps_greedy(self.actor_action, s, explore)
-        return self._actor_step(self.actor_param, s, a, explore)
-
-    def compute_targets(self, batch):
-        """Bootstrapped values: reward plus the discounted lesser target critic
-        at the target policy's smoothed action."""
-        _, _, _, rewards, next_states = batch
-        b = next_states.shape[0]
-        scores = nn.forward(self.t_actor_action, next_states)
-        a_next = np.argmax(scores, axis=1)
-        oh = self._target_rows[a_next]
-        p_next = nn.forward(self.t_actor_param, np.concatenate([next_states, oh], axis=1))
-        p_next = np.clip(p_next + self._clipped_noise((b, 2)).astype(DTYPE), -self.box, self.box)
-        p_next[a_next == self.cloud_action] = 0.0  # offloads carry no parameters
-        xc = self._critic_input(next_states, oh, p_next)
-        q1 = nn.forward(self.t_critic_1, xc)[:, 0]
-        q2 = nn.forward(self.t_critic_2, xc)[:, 0]
-        y = rewards + self.cfg.gamma * np.minimum(q1, q2)
-        info = {"a_next": a_next, "p_next": p_next, "q1": q1, "q2": q2}
-        return y, info
-
-    def update_critics(self, batch, y):
-        states, actions, params, _, _ = batch
-        xc = self._critic_input(states, self._target_rows[actions], params)
-        return (regress_critic(self.critic_1, self.adam_critic_1, xc, y),
-                regress_critic(self.critic_2, self.adam_critic_2, xc, y))
-
     def update_actors(self, batch):
         """Ascend the first critic: deltas through the parameter head, target
         scores through a softmax relaxation at the stored deltas."""
-        states, actions, params, _, _ = batch
-        oh = self._target_rows[actions]
-        ascend_param_actor(self.actor_param, self.adam_actor_param,
-                           self.critic_1, states, oh, param_scale=self.p_feat)
+        super().update_actors(batch)
+        states, _, params, _, _ = batch
         scores, cache_a = nn.forward_cached(self.actor_action, states)
         soft = nn.softmax(scores)
         gin = mean_value_input_grad(self.critic_1, self._critic_input(states, soft, params))
@@ -508,9 +534,4 @@ class PatAgent(LearnerBase):
                                     nn.backward(self.actor_action, cache_a, -gscores))
 
     def _update(self, batch) -> dict:
-        y, _ = self.compute_targets(batch)
-        l1, l2 = self.update_critics(batch, y)
-        self.update_actors(batch)
-        for live in self._ADAMS.values():
-            nn.soft_update(getattr(self, "t_" + live), getattr(self, live), self.cfg.tau)
-        return {"critic_loss_1": l1, "critic_loss_2": l2}
+        return dict(zip(("critic_loss_1", "critic_loss_2"), self._update_params(batch)))

@@ -161,7 +161,7 @@ def test_update_rules_match_hand_values():
     batch = (np.zeros((4, 6), DTYPE), np.zeros(4, dtype=np.int64), np.zeros((4, 2), DTYPE),
              np.full(4, 0.5, DTYPE), rng.normal(0, 1, (4, 6)).astype(DTYPE))
     y, info = agent.compute_targets(batch)
-    assert (y == batch[3] + 0.99 * np.minimum(info["q1"], info["q2"])).all()
+    assert (y == batch[3] + 0.99 * np.minimum(*info["q"])).all()
     # 0.5 + 0.99 * 1.0 in that dtype, in that order
     assert (y == DTYPE(0.5) + DTYPE(0.99) * DTYPE(1.0)).all() and y.dtype == DTYPE
 

@@ -282,14 +282,6 @@ class TestDdqnPair:
             assert (w0 == w1).all()
         assert any((w0 != w1).any() for w0, w1 in zip(param0, agent.param_q.weights))
 
-    def test_target_nets_track_only_their_phase(self):
-        agent, grid = self.make()
-        fill_learner(agent, np.random.default_rng(53), 16, grid=grid)
-        t_param0 = [w.copy() for w in agent.t_param_q.weights]
-        agent.train_step()
-        for w0, w1 in zip(t_param0, agent.t_param_q.weights):
-            assert (w0 == w1).all()
-
     def test_warmup_noop_and_checkpoint_roundtrip(self, tmp_path):
         # nets, optimizers and actions round-trip in test_pat's TestCheckpoint
         agent, grid = self.make()
@@ -298,6 +290,30 @@ class TestDdqnPair:
         again = DdqnPairAgent.load(path)
         assert (again.grid.values_cpu == grid.values_cpu).all()
         assert (again.grid.values_mem == grid.values_mem).all()
+
+
+# each pair's parameter side: the nets its phase 1 steps
+PARAM_SIDE = {"ddqn": ("param_q",), "ddpg": ("actor", "critic")}
+
+
+@pytest.mark.parametrize("kind", ["ddqn", "ddpg"])
+def test_target_nets_track_only_their_phase(kind):
+    """train_step blends only the t_ copies of the nets its phase steps: the
+    server selector's in phase 0, the parameter side's in phase 1. The first
+    cycle runs unchecked, so that every live net has left its t_ copy."""
+    cls = DdqnPairAgent if kind == "ddqn" else DdpgPairAgent
+    agent = cls(STATE_DIM, N_TARGETS, (50.0, 50.0), small_cfg(alternation_period=2), seed=53)
+    fill_learner(agent, np.random.default_rng(53), 16, grid=getattr(agent, "grid", None))
+    for _ in range(4):
+        agent.train_step()
+    names = ("server_q", *PARAM_SIDE[kind])
+    for phase in (0, 0, 1, 1):  # alternation_period updates each
+        stepped = names[1:] if phase else names[:1]
+        before = {name: getattr(agent, "t_" + name).params.copy() for name in names}
+        assert agent.phase == phase and agent.train_step()["trained"]
+        for name in names:
+            moved = (getattr(agent, "t_" + name).params != before[name]).any()
+            assert moved == (name in stepped), (phase, name)
 
 
 class TestDdpgPair:
@@ -317,8 +333,8 @@ class TestDdpgPair:
         batch = (rng.normal(0, 1, (8, STATE_DIM)).astype(DTYPE), rng.integers(0, N_TARGETS, 8),
                  rng.uniform(-50, 50, (8, 2)).astype(DTYPE), rewards,
                  rng.normal(0, 1, (8, STATE_DIM)).astype(DTYPE))
-        y1 = agent.compute_targets(batch)
-        y2 = agent.compute_targets(batch)
+        y1, _ = agent.compute_targets(batch)
+        y2, _ = agent.compute_targets(batch)
         assert (y1 == y2).all()
         # rewards + 0.99 * 3.0 in the learners' dtype, in that order
         assert (y1 == rewards + DTYPE(0.99) * DTYPE(3.0)).all() and y1.dtype == DTYPE

@@ -522,6 +522,20 @@ class TestCli:
         assert cli.main(["validate-config", "--config", str(path)]) == 1
         assert f"costs.{key}: unknown key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("agent, error", [
+        ({"kind": ["pat"]}, "agent.kind: unknown agent ['pat']"),
+        ({"kind": 5}, "agent.kind: unknown agent 5"),
+        ({"kind": "greedy", "beta": -5}, "agent: eps_decay, sigma_noise and beta must be >= 0"),
+    ], ids=["kind-list", "kind-number", "negative-beta"])
+    def test_validate_config_refuses_a_bad_kind_or_beta(self, tmp_path, capsys, agent, error):
+        """A kind that is not a string, and a negative beta, which would make
+        the training cost reward network cost, fail as an error line."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**desk_doc(), "agent": agent}))
+        assert cli.main(["validate-config", "--config", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == f"error: {error}\n"
+
     def test_missing_file_fails_cleanly(self, capsys):
         assert cli.main(["validate-config", "--config", "/no/such.json"]) == 1
         assert "error" in capsys.readouterr().err

@@ -358,8 +358,9 @@ class TestTargets:
         batch = random_batch(rng, 16)
         y, info = agent.compute_targets(batch)
         rewards = batch[3]
-        assert (y == rewards + agent.cfg.gamma * np.minimum(info["q1"], info["q2"])).all()
-        assert (info["q1"] != info["q2"]).any()
+        q1, q2 = info["q"]
+        assert (y == rewards + agent.cfg.gamma * np.minimum(q1, q2)).all()
+        assert (q1 != q2).any()
 
     def test_constant_target_critics_give_known_value(self):
         agent = make_agent(seed=10)
@@ -372,7 +373,8 @@ class TestTargets:
         batch = random_batch(np.random.default_rng(11), 3)
         batch = (*batch[:3], np.full(3, 0.5, dtype=DTYPE), batch[4])
         y, info = agent.compute_targets(batch)
-        assert (info["q1"] == 1.0).all() and (info["q2"] == 2.0).all()
+        q1, q2 = info["q"]
+        assert (q1 == 1.0).all() and (q2 == 2.0).all()
         # 0.5 + 0.99 * 1.0 in the learners' dtype, in that order
         assert (y == DTYPE(0.5) + DTYPE(0.99) * DTYPE(1.0)).all() and y.dtype == DTYPE
 
@@ -597,6 +599,18 @@ class TestTrainStep:
                                         agent.t_critic_1.weights):
             assert w_tgt == pytest.approx(tau * w_live + (1 - tau) * w_pre, rel=1e-12, abs=1e-15)
             assert (w_tgt != w_live).any()
+
+    def test_every_update_moves_all_four_target_nets(self):
+        """Every PAT update steps all four optimizers, so train_step blends
+        every t_ copy each time."""
+        agent = make_agent(seed=37)
+        fill_buffer(agent, np.random.default_rng(38), 8)
+        names = ("actor_action", "actor_param", "critic_1", "critic_2")
+        for _ in range(3):
+            before = {name: getattr(agent, "t_" + name).params.copy() for name in names}
+            assert agent.train_step()["trained"]
+            for name in names:
+                assert (getattr(agent, "t_" + name).params != before[name]).any(), name
 
     def test_training_is_reproducible_per_seed(self):
         runs = []
