@@ -376,10 +376,9 @@ class VnfEnv:
         self.cur: EpochTraffic | None = None
         self.epoch = 0
         self.layout = FeatureLayout(pool.k_servers, pool.n_vnfs)
-        # cost matrices and user count of the state under traffic _kept_cur (see _kept)
+        # the open epoch's cost matrices (None between epochs) and user count; see open_epoch
         self._grid = None
         self._users = 0
-        self._kept_cur = None
         self._rate_scale = max(traffic.mu_r + 3.0 * traffic.sigma_r, traffic.r_min)
 
     @property
@@ -430,17 +429,13 @@ class VnfEnv:
         self.state.users[self.state.cloud, j] += 1
         book_cloud(self.state, self.specs[j], j)
 
-    def _kept(self):
-        """The (latency, financial, sla, numerator) matrices and user count _users
-        of the current state, built once per traffic snapshot; apply_action keeps both."""
-        if self.cur is None:
-            raise ValueError("no epoch traffic available; advance an epoch first")
-        if self._kept_cur is not self.cur:
-            self._grid = cost_components(self.state, self.specs, self.costs,
-                                         self.cur.cloud_rate)
-            self._users = int(self.state.users.sum())
-            self._kept_cur = self.cur
-        return self._grid
+    def open_epoch(self, cur: EpochTraffic):
+        """Open an epoch under traffic cur: price the state into the kept
+        (latency, financial, sla, numerator) matrices and count its users;
+        apply_action keeps both up to date until departures close the epoch."""
+        self.cur = cur
+        self._grid = cost_components(self.state, self.specs, self.costs, cur.cloud_rate)
+        self._users = int(self.state.users.sum())
 
     def apply_action(self, vnf: int, action: ParamAction,
                      assign_user: bool = True) -> StepOutcome:
@@ -453,9 +448,10 @@ class VnfEnv:
         t = action.target
         if not 0 <= t <= pool.k_servers:
             raise ValueError(f"action target {t} outside 0..{pool.k_servers}")
+        if self._grid is None:
+            raise ValueError("no epoch traffic available; advance an epoch first")
         st = self.state
-        # kept before this request changes the state; the refresh below follows it
-        lat, fin, sla, num = self._kept()
+        lat, fin, sla, num = self._grid
         infeasible = False
         if t == st.cloud:
             # offload carries no parameters; an idle visit leaves the cloud alone
@@ -501,7 +497,7 @@ class VnfEnv:
                 [sample_rate_block(s, self.rng_traffic) for s in self.specs])
         arrivals = sample_arrivals(self.lambdas, self.traffic_cfg.slot_t, self.rng_traffic)
         rate = sample_cloud_rate(self.traffic_cfg, self.rng_traffic)
-        self.cur = EpochTraffic(arrivals=arrivals, cloud_rate=rate)
+        self.open_epoch(EpochTraffic(arrivals=arrivals, cloud_rate=rate))
         order = self.rng_traffic.permutation(self.pool.n_vnfs)
 
         records = []
@@ -526,14 +522,14 @@ class VnfEnv:
         snapshot = (self.state.copy(), rate) if keep_snapshot else None
         apply_departures(self.state, self.specs, self.rng_departures)
         self.state.snapshot_prev()
-        self._kept_cur = None  # departures and the new reference point change every cell
+        self._grid = None  # departures and the new reference point change every cell
         self.epoch += 1
         return EpochSummary(metrics, records, snapshot)
 
     def _epoch_metrics(self, records) -> EpochMetrics:
         st = self.state
         k = self.pool.k_servers
-        lat, fin, sla, num = self._kept()
+        lat, fin, sla, num = self._grid
         total_u = int(st.users.sum())
         du = max(total_u, 1)
         return EpochMetrics(

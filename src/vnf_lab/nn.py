@@ -1,7 +1,6 @@
 """Small dense-network toolkit: a cacheless forward for inference, a forward
 with cached activations for training batches, exact backprop (weight gradients in
-backward, the input gradient in input_grad), Adam, soft target blending,
-checkpoints.
+backward, the input gradient in input_grad), Adam, soft target blending.
 
 A net computes in the dtype it is built with (float64 by default; the
 learners build float32 nets), and every function here follows the dtype of
@@ -185,7 +184,6 @@ class AdamState:
     def __init__(self, mlp: Mlp, lr: float = 1e-3):
         self.lr = lr
         self.t = 0
-        self.sizes = mlp.sizes
         self.m = np.zeros_like(mlp.params)
         self.v = np.zeros_like(mlp.params)
 
@@ -220,44 +218,3 @@ def soft_update(target: Mlp, source: Mlp, tau: float):
     blend = np.multiply(source.params, tau)
     target.params *= 1.0 - tau
     target.params += blend
-
-
-# ---------------------------------------------------------------------------
-# checkpoints: one array per layer under fixed keys, views of the vectors
-
-def _layer_arrays(sizes, flats: dict) -> dict:
-    """{stem + "w0": view, stem + "b0": view, ...}, layer by layer: the checkpoints' order."""
-    views = {stem: layer_views(sizes, flat) for stem, flat in flats.items()}
-    out = {}
-    for i in range(len(sizes) - 1):
-        for stem, (weights, biases) in views.items():
-            out[f"{stem}w{i}"], out[f"{stem}b{i}"] = weights[i], biases[i]
-    return out
-
-
-def mlp_state(mlp: Mlp, prefix: str) -> dict:
-    """The net's checkpoint arrays by key (prefix.w0, prefix.b0, ...,
-    prefix.scale), views of the net: load_state writes into them."""
-    out = _layer_arrays(mlp.sizes, {f"{prefix}.": mlp.params})
-    if mlp.head_scale is not None:
-        out[f"{prefix}.scale"] = mlp.head_scale
-    return out
-
-
-def adam_state(adam: AdamState, prefix: str) -> dict:
-    """The moments' checkpoint arrays by key (prefix.mw0, prefix.mb0,
-    prefix.vw0, ...), views of m and v, and a copy of the step count t."""
-    return {f"{prefix}.t": np.array(adam.t),
-            **_layer_arrays(adam.sizes, {f"{prefix}.m": adam.m, f"{prefix}.v": adam.v})}
-
-
-def load_state(data, arrays: dict):
-    """Copy the checkpoint array under each key of arrays (mlp_state's or
-    adam_state's) into the array there; each key must be stored, in its shape."""
-    for key, arr in arrays.items():
-        if key not in data:
-            raise ValueError(f"{key}: not in the checkpoint")
-        stored = np.asarray(data[key])
-        if stored.shape != arr.shape:
-            raise ValueError(f"{key}: stored shape {stored.shape}, expected {arr.shape}")
-        arr[...] = stored

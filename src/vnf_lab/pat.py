@@ -64,8 +64,10 @@ class PatConfig:
             raise ValueError("lr must be > 0")
         if not 0 <= self.eps_min <= self.eps <= 1:
             raise ValueError("need 0 <= eps_min <= eps <= 1")
-        if self.eps_decay < 0 or self.sigma_noise < 0 or self.beta < 0:
-            raise ValueError("eps_decay, sigma_noise and beta must be >= 0")
+        if self.eps_decay < 0 or self.sigma_noise < 0:
+            raise ValueError("eps_decay and sigma_noise must be >= 0")
+        if self.beta < 0:
+            raise ValueError("beta must be >= 0")
         if not 0 <= self.clip_c_min <= self.clip_c:
             raise ValueError("need 0 <= clip_c_min <= clip_c")
         if self.gamma_max <= 0:
@@ -442,13 +444,26 @@ class LearnerBase:
     # checkpointing
 
     def _checkpoint_arrays(self) -> dict:
-        """Every checkpoint array by key, the nets' then the optimizers';
-        views of this learner's arrays, so nn.load_state writes into them."""
+        """Every checkpoint array by key, in the file's order: each net's
+        layers (name.w0, name.b0, name.w1, ..., then name.scale of a tanh
+        head), then each optimizer's step count and moments (name.t, then
+        name.mw0, name.mb0, name.vw0, name.vb0, name.mw1, ...). The layers
+        and moments are views of this learner's arrays, which load writes
+        through; name.t is a copy of the count."""
         arrays = {}
         for name in self._NETS:
-            arrays.update(nn.mlp_state(getattr(self, name), name))
-        for name in self._ADAMS:
-            arrays.update(nn.adam_state(getattr(self, name), name))
+            net = getattr(self, name)
+            for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+                arrays[f"{name}.w{i}"], arrays[f"{name}.b{i}"] = w, b
+            if net.head_scale is not None:
+                arrays[f"{name}.scale"] = net.head_scale
+        for name, net in self._ADAMS.items():
+            adam, sizes = getattr(self, name), getattr(self, net).sizes
+            arrays[f"{name}.t"] = np.array(adam.t)
+            moments = zip(*nn.layer_views(sizes, adam.m), *nn.layer_views(sizes, adam.v))
+            for i, layer in enumerate(moments):
+                arrays.update(zip((f"{name}.{part}{i}" for part in ("mw", "mb", "vw", "vb")),
+                                  layer))
         return arrays
 
     def save(self, path) -> str:
@@ -487,17 +502,23 @@ class LearnerBase:
                     raise ValueError(f"{path}: meta: {key} takes integers >= {low}, "
                                      f"not {meta[key]!r}")
             scale = meta["scale"] if "scale" in meta else (meta["span_cpu"], meta["span_mem"])
+            from .harness import _build_section  # at call time: harness imports this module
+            cfg = _build_section(cls._CONFIG, meta["cfg"], f"{path}: meta: cfg")
             try:
-                agent = cls(meta["state_dim"], meta["n_targets"], scale,
-                            cls._CONFIG(**meta["cfg"]), seed=seed)
+                agent = cls(meta["state_dim"], meta["n_targets"], scale, cfg, seed=seed)
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{path}: meta: {exc}") from exc
-            try:
-                nn.load_state(data, agent._checkpoint_arrays())
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
-            for name in cls._ADAMS:
-                getattr(agent, name).t = int(data[f"{name}.t"])
+            for key, arr in agent._checkpoint_arrays().items():
+                if key not in data:
+                    raise ValueError(f"{path}: {key}: not in the checkpoint")
+                stored = data[key]
+                if stored.shape != arr.shape:
+                    raise ValueError(f"{path}: {key}: stored shape {stored.shape}, "
+                                     f"expected {arr.shape}")
+                if key.endswith(".t"):  # an optimizer's step count; arr is a copy
+                    getattr(agent, key[:-2]).t = int(stored)
+                else:
+                    arr[...] = stored
             agent.updates = meta["updates"]
         return agent
 

@@ -18,7 +18,7 @@ def make_env(k=3, n=3, seed=0, specs=None, traffic=None, pool=None):
     traffic = traffic or TrafficConfig()
     env = VnfEnv(pool, specs, CostParams(), traffic, seed=seed)
     # a fixed traffic snapshot so apply_action can be probed in isolation
-    env.cur = EpochTraffic(np.zeros(n, dtype=np.int64), 10.0)
+    env.open_epoch(EpochTraffic(np.zeros(n, dtype=np.int64), 10.0))
     return env
 
 
@@ -150,9 +150,9 @@ class TestApplyAction:
         assert env.state.users.sum() == 0 and env.state.cpu.sum() == 0.0
 
     def test_first_request_of_a_new_snapshot_counts_its_user_once(self):
-        """The kept user count starts from the state before the request that
-        builds it, then adds that request's user: on a server, on the cloud,
-        after a fall-through, or none on an idle visit."""
+        """The kept user count starts from the state its epoch opens on, then
+        adds the first request's user: on a server, on the cloud, after a
+        fall-through, or none on an idle visit."""
         env = make_env()
         env.apply_action(0, ParamAction(0, 6.0, 9.0))
         env.apply_action(1, ParamAction(3))
@@ -160,7 +160,7 @@ class TestApplyAction:
                     (1, ParamAction(0, 60.0, 0.0), True), (1, ParamAction(0, 1.0, 1.0), False),
                     (2, ParamAction(3), False)]
         for vnf, action, assign_user in requests:
-            env.cur = EpochTraffic(np.zeros(3, dtype=np.int64), 10.0)
+            env.open_epoch(EpochTraffic(np.zeros(3, dtype=np.int64), 10.0))
             before = int(env.state.users.sum())
             out = env.apply_action(vnf, action, assign_user)
             users = int(env.state.users.sum())
@@ -184,7 +184,7 @@ class TestEncodeState:
         env = make_env()
         env.apply_action(0, ParamAction(0, 5.0, 10.0))
         env.apply_action(1, ParamAction(env.state.cloud))
-        env.cur = EpochTraffic(np.array([2, 0, 1]), 8.0)
+        env.open_epoch(EpochTraffic(np.array([2, 0, 1]), 8.0))
         s = env.encode_state(2)
         n, k = 3, 3
         assert s[:3] == pytest.approx([0.2, 0.0, 0.1])          # arrivals / 10
@@ -228,7 +228,7 @@ class TestNextStateFeatures:
 
     def test_each_request_kind_matches_a_fresh_encode(self):
         env = make_env()
-        env.cur = EpochTraffic(np.array([3, 2, 1]), 9.5)
+        env.open_epoch(EpochTraffic(np.array([3, 2, 1]), 9.5))
         flags, req = env.layout.deployed, env.layout.request
         after = env.encode_state(0)
         handed = []

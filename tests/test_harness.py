@@ -525,7 +525,7 @@ class TestCli:
     @pytest.mark.parametrize("agent, error", [
         ({"kind": ["pat"]}, "agent.kind: unknown agent ['pat']"),
         ({"kind": 5}, "agent.kind: unknown agent 5"),
-        ({"kind": "greedy", "beta": -5}, "agent: eps_decay, sigma_noise and beta must be >= 0"),
+        ({"kind": "greedy", "beta": -5}, "agent: beta must be >= 0"),
     ], ids=["kind-list", "kind-number", "negative-beta"])
     def test_validate_config_refuses_a_bad_kind_or_beta(self, tmp_path, capsys, agent, error):
         """A kind that is not a string, and a negative beta, which would make
@@ -737,6 +737,17 @@ class TestCli:
                                  "--quiet"]) == 1
                 assert capsys.readouterr().err == \
                     f"error: {other}: meta: {key} takes integers >= {low}, not {value!r}\n"
+        # meta.cfg is checked as the kind's agent block is
+        for key, value, err in (("batch_size", True, "takes integers, not True"),
+                                ("gamma", True, "takes numbers, not True"),
+                                ("warmup_size", 2.5, "takes integers, not 2.5"),
+                                ("lr", float("nan"), "takes finite numbers, not nan"),
+                                ("tau", "x", "takes numbers, not 'x'")):
+            cfg = {**meta["cfg"], key: value}
+            np.savez(other, **{**arrays, "meta": np.array(json.dumps({**meta, "cfg": cfg}))})
+            assert cli.main(["eval", "--config", path, "--checkpoint", str(other),
+                             "--quiet"]) == 1
+            assert capsys.readouterr().err == f"error: {other}: meta: cfg: {key} {err}\n"
         # one net's arrays left out
         np.savez(other, **{k: v for k, v in arrays.items() if not k.startswith("critic_2.")})
         assert cli.main(["eval", "--config", path, "--checkpoint", str(other), "--quiet"]) == 1

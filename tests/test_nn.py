@@ -208,32 +208,6 @@ class TestSoftmax:
         assert np.isfinite(s).all()
 
 
-class TestSerialization:
-    def test_roundtrip_bitwise(self, tmp_path):
-        net = build((6, 16, 8, 2), head_scale=(50.0, 25.0), seed=32)
-        path = tmp_path / "net.npz"
-        np.savez(path, **nn.mlp_state(net, "net"))
-        again = nn.Mlp(net.sizes, head_scale=(1.0, 1.0))
-        with np.load(path) as data:
-            assert set(data.files) == {f"net.{key}" for key in
-                                       ("w0", "b0", "w1", "b1", "w2", "b2", "scale")}
-            nn.load_state(data, nn.mlp_state(again, "net"))
-        assert (again.head_scale == net.head_scale).all()
-        assert same_bits(again.params, net.params)
-        for w0, w1 in zip(net.weights, again.weights):
-            assert (w0 == w1).all()
-        for b0, b1 in zip(net.biases, again.biases):
-            assert (b0 == b1).all()
-        x = np.ones(6)
-        assert (nn.forward(net, x) == nn.forward(again, x)).all()
-
-    def test_load_refuses_another_shape(self, tmp_path):
-        path = tmp_path / "net.npz"
-        np.savez(path, **nn.mlp_state(build((6, 16, 8, 2), seed=33), "net"))
-        with np.load(path) as data, pytest.raises(ValueError, match=r"net\.w0"):
-            nn.load_state(data, nn.mlp_state(nn.Mlp((7, 16, 8, 2)), "net"))
-
-
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()

@@ -749,6 +749,70 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="'pat'.*'ddpg'"):
             DdpgPairAgent.load(path)
 
+    def test_roundtrip_bitwise(self, tmp_path):
+        """Every stored array, the parameter head's scale included, comes
+        back with its bits, and the loaded nets give the saver's outputs."""
+        agent = PatAgent(STATE_DIM, N_TARGETS, (52.0, 47.0), make_agent().cfg, seed=32)
+        energize(agent.actor_param, np.random.default_rng(33))
+        with np.load(agent.save(tmp_path / "agent.npz")) as data:
+            stored = {key: data[key] for key in data.files}
+        assert stored["actor_param.scale"].tolist() == [52.0, 47.0]
+        again = PatAgent.load(tmp_path / "agent.npz")
+        arrays = again._checkpoint_arrays()
+        assert list(arrays) + ["meta"] == list(stored)
+        for key, a in arrays.items():
+            assert a.dtype == stored[key].dtype and a.tobytes() == stored[key].tobytes(), key
+        x = np.linspace(-1, 1, STATE_DIM + N_TARGETS, dtype=DTYPE)
+        assert nn.forward(again.actor_param, x).tobytes() == \
+            nn.forward(agent.actor_param, x).tobytes()
+
+    def test_load_refuses_another_shape(self, tmp_path):
+        path = make_agent(seed=33).save(tmp_path / "agent.npz")
+        with np.load(path) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["actor_param.w0"] = arrays["actor_param.w0"][:, 1:]
+        np.savez(path, **arrays)
+        with pytest.raises(ValueError, match=r"agent\.npz: actor_param\.w0: stored shape"):
+            PatAgent.load(path)
+
+    @pytest.mark.parametrize("kind", ["pat", "ddqn", "ddpg"])
+    def test_file_layout_is_pinned(self, tmp_path, kind):
+        """The stored keys in their file order, with each array's dtype and
+        shape: per net its layers then a tanh head's scale, then per optimizer
+        its step count and its moments layer by layer, then meta."""
+        s, a = STATE_DIM, N_TARGETS
+        nets = {"pat": {"actor_action": (s, 128, 64, a), "actor_param": (s + a, 128, 64, 2),
+                        "critic_1": (s + a + 2, 128, 64, 1), "critic_2": (s + a + 2, 128, 64, 1)},
+                "ddqn": {"server_q": (s, 128, 64, a), "param_q": (s, 128, 64, 100)},
+                "ddpg": {"server_q": (s, 128, 64, a), "actor": (s + a, 128, 64, 2),
+                         "critic": (s + a + 2, 128, 64, 1)}}[kind]
+        adams = {"pat": ["adam_actor_action", "adam_actor_param", "adam_critic_1",
+                         "adam_critic_2"],
+                 "ddqn": ["adam_server", "adam_param"],
+                 "ddpg": ["adam_server", "adam_actor", "adam_critic"]}[kind]
+        scaled = {"actor_param", "actor"}
+
+        def layers(sizes, stems):
+            return [(f"{stem}{i}", shape) for i, (n_in, n_out) in enumerate(zip(sizes, sizes[1:]))
+                    for stem, shape in zip(stems, [(n_out, n_in), (n_out,)] * 2)]
+
+        want = []
+        for prefix in ("", "t_"):
+            for name, sizes in nets.items():
+                want += [(f"{prefix}{name}.{key}", "float32", shape)
+                         for key, shape in layers(sizes, ("w", "b"))]
+                want += [(f"{prefix}{name}.scale", "float32", (2,))] if name in scaled else []
+        for adam, sizes in zip(adams, nets.values()):
+            want += [(f"{adam}.t", "int64", ())]
+            want += [(f"{adam}.{key}", "float32", shape)
+                     for key, shape in layers(sizes, ("mw", "mb", "vw", "vb"))]
+        path = make_learner(kind, seed=34).save(tmp_path / "agent.npz")
+        with np.load(path) as data:
+            assert data.files == [key for key, _, _ in want] + ["meta"]
+            for key, dtype, shape in want:
+                assert (data[key].dtype, data[key].shape) == (np.dtype(dtype), shape), key
+            assert data["meta"].dtype.kind == "U" and data["meta"].shape == ()
+
 
 def desk_learner_doc(kind, **agent):
     """A 3x3 document whose learner passes its warm-up within a few epochs;
