@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="evaluate one agent without exploration")
     _add_common(p)
     p.add_argument("--checkpoint", default=None,
-                   help="trained learner checkpoint (overrides run.checkpoint_path)")
+                   help="trained checkpoint of a learner kind (overrides run.checkpoint_path)")
     p = sub.add_parser("compare", help="run several agents on one traffic trace")
     _add_common(p)
     p.add_argument("--agents", default="pat,greedy,cloud",
@@ -77,6 +77,9 @@ def main(argv=None) -> int:
             seed = harness.resolve_seed(cfg, args.seed)
             kind = cfg.agent["kind"]
             if kind not in harness.LEARNERS:
+                if args.checkpoint is not None:
+                    raise ConfigError(f"eval: agent {kind!r} is not a learner and takes "
+                                      "no --checkpoint")
                 agent = harness.build_agent(cfg, None, seed)
             else:
                 ckpt = args.checkpoint or cfg.run.checkpoint_path
@@ -84,7 +87,7 @@ def main(argv=None) -> int:
                     raise ConfigError(f"eval: agent {kind!r} needs a trained checkpoint: "
                                       "pass --checkpoint or set run.checkpoint_path")
                 agent = harness.LEARNERS[kind].load(ckpt, seed=seed)
-            epochs = args.epochs or cfg.run.eval_epochs or 100
+            epochs = args.epochs or cfg.run.eval_epochs or harness.RunConfig.eval_epochs
             with harness.metrics_file(args.out or None, "eval_metrics.csv") as sink:
                 rows = harness.evaluate_agent(cfg, agent, seed, epochs, sink)
             kpis = harness.compute_kpis(rows)

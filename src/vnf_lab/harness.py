@@ -98,30 +98,12 @@ def default_agent_config(kind: str) -> dict:
 
 
 def defaults() -> ExperimentConfig:
-    """The shipped experiment: full pool, catalogue and learner tables."""
-    return ExperimentConfig(
-        pool=PoolConfig(),
-        vnfs=default_vnfs(),
-        costs=CostParams(),
-        traffic=TrafficConfig(),
-        agent=default_agent_config("pat"),
-        run=RunConfig(),
-    )
+    """The shipped experiment: the empty document's full pool, catalogue and learner tables."""
+    return config_from_dict({})
 
 
 # ---------------------------------------------------------------------------
-# document <-> config
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return {
-        "pool": asdict(cfg.pool),
-        "vnfs": [asdict(v) for v in cfg.vnfs],
-        "costs": asdict(cfg.costs),
-        "traffic": asdict(cfg.traffic),
-        "agent": dict(cfg.agent),
-        "run": asdict(cfg.run),
-    }
-
+# document <-> config: a config's document is dataclasses.asdict(cfg)
 
 # the JSON values a field of each annotated type takes: 5.0 would reach range(), true pass for 1
 _JSON_TYPES = {"int": ((int,), "integers"), "int | None": ((int, type(None)), "integers or null"),
@@ -173,7 +155,7 @@ def with_agent(cfg: ExperimentConfig, kind: str) -> ExperimentConfig:
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
         raise ConfigError("top level: expected an object")
-    known = {"pool", "vnfs", "costs", "traffic", "agent", "run"}
+    known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     for key in doc:
         if key not in known:
             raise ConfigError(f"{key}: unknown key")
@@ -208,7 +190,7 @@ def load_config(path) -> ExperimentConfig:
 
 
 def export_defaults() -> str:
-    return json.dumps(config_to_dict(defaults()), indent=2) + "\n"
+    return json.dumps(asdict(defaults()), indent=2) + "\n"
 
 
 def check_seed(seed, source: str) -> int:
@@ -322,6 +304,18 @@ def aggregate_kpis(per_seed: list) -> dict:
     return out
 
 
+def run_agent(cfg: ExperimentConfig, seed: int, train_epochs: int, eval_epochs: int, sink=None):
+    """Train and compare's one job: cfg's agent runs train_epochs on seed's training trace, rows
+    to sink every run.metrics_every epochs, then eval_epochs on the shared evaluation trace (a
+    baseline is rebuilt first, so evaluated as built). Returns (agent, train_rows, eval_rows)."""
+    env = build_env(cfg, seed, stream=0)
+    agent = build_agent(cfg, env, seed)
+    train_rows = _drive(env, agent, train_epochs, sink, cfg.run.metrics_every)
+    if not isinstance(agent, LearnerBase):
+        agent = build_agent(cfg, env, seed)
+    return agent, train_rows, evaluate_agent(cfg, agent, seed, eval_epochs)
+
+
 @dataclass
 class RunResult:
     seed: int
@@ -341,19 +335,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None,
     given; rows are flushed as they are produced."""
     seed = resolve_seed(cfg, seed)
     kind = cfg.agent["kind"]
-    env = build_env(cfg, seed, stream=0)
-    agent = build_agent(cfg, env, seed)
     with metrics_file(out_dir, "metrics.csv") as sink:
         metrics_path = None if sink is None else sink.name
-        train_rows = _drive(env, agent, cfg.run.total_epochs, sink, cfg.run.metrics_every)
+        agent, train_rows, eval_rows = run_agent(cfg, seed, cfg.run.total_epochs,
+                                                 cfg.run.eval_epochs, sink)
     if not quiet:
         print(f"[{kind}] seed {seed}: trained {cfg.run.total_epochs} epochs")
-
-    eval_rows = []
-    if cfg.run.eval_epochs > 0:
-        if not isinstance(agent, LearnerBase):  # a baseline is evaluated as built, as in compare
-            agent = build_agent(cfg, env, seed)
-        eval_rows = evaluate_agent(cfg, agent, seed, cfg.run.eval_epochs)
 
     result = RunResult(seed, train_rows, eval_rows,
                        compute_kpis(train_rows), compute_kpis(eval_rows),
@@ -370,7 +357,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seed=None,
             "smoothing_window": cfg.run.smoothing_window,
             "train_kpis": result.train_kpis,
             "eval_kpis": result.eval_kpis,
-            "config": config_to_dict(cfg),
+            "config": asdict(cfg),
         }
         with open(os.path.join(out_dir, "summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2)
@@ -425,12 +412,9 @@ def compare(cfg: ExperimentConfig, agent_names, seeds=None, out_dir=None,
     for seed in seeds:
         for name in names:
             acfg = acfgs[name]
-            env = build_env(acfg, seed, stream=0)
-            agent = build_agent(acfg, env, seed)
-            # baselines skip the training trace: running random there would move its draws
-            if isinstance(agent, LearnerBase):
-                _drive(env, agent, acfg.run.total_epochs)
-            rows = evaluate_agent(acfg, agent, seed, max(acfg.run.eval_epochs, 1))
+            # a baseline learns nothing from the training trace, so it skips it
+            _, _, rows = run_agent(acfg, seed, acfg.run.total_epochs if name in LEARNERS else 0,
+                                   max(acfg.run.eval_epochs, 1))
             per_seed[name].append(compute_kpis(rows))
             for m in rows:
                 for key in long_keys:

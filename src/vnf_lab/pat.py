@@ -501,7 +501,11 @@ class LearnerBase:
                 if type(meta[key]) is not int or meta[key] < low:
                     raise ValueError(f"{path}: meta: {key} takes integers >= {low}, "
                                      f"not {meta[key]!r}")
-            scale = meta["scale"] if "scale" in meta else (meta["span_cpu"], meta["span_mem"])
+            scale = meta["scale"] if "scale" in meta else [meta["span_cpu"], meta["span_mem"]]
+            if type(scale) is not list or len(scale) != 2 or any(
+                    type(x) not in (int, float) or not math.isfinite(x) for x in scale):
+                raise ValueError(f"{path}: meta: {'/'.join(spans)} takes two finite numbers, "
+                                 f"not {scale!r}")
             from .harness import _build_section  # at call time: harness imports this module
             cfg = _build_section(cls._CONFIG, meta["cfg"], f"{path}: meta: cfg")
             try:

@@ -22,10 +22,9 @@ from vnf_lab import cli, harness
 from vnf_lab.baselines import CloudAgent, GreedyAgent
 from vnf_lab.env import EpochMetrics
 from vnf_lab.harness import (CSV_HEADER, ConfigError, aggregate_kpis, compare,
-                             compute_kpis, config_from_dict,
-                             config_to_dict, default_vnfs, defaults,
+                             compute_kpis, config_from_dict, default_vnfs, defaults,
                              export_defaults, format_float, metrics_row,
-                             resolve_seed, run_experiment, with_agent)
+                             resolve_seed, run_agent, run_experiment, with_agent)
 
 
 def desk_doc(agent=None, **run):
@@ -65,11 +64,14 @@ class TestDefaults:
     def test_export_roundtrips(self):
         text = export_defaults()
         again = config_from_dict(json.loads(text))
-        assert again == defaults()
+        assert again == defaults() == config_from_dict({})
+        # the document lists the config's sections in their field order
+        assert list(json.loads(text)) == [f.name for f in
+                                          dataclasses.fields(harness.ExperimentConfig)]
 
     def test_config_dict_roundtrip_from_custom(self):
         cfg = desk_cfg(agent={"kind": "ddqn", "resolution": 10.0})
-        again = config_from_dict(config_to_dict(cfg))
+        again = config_from_dict(dataclasses.asdict(cfg))
         assert again == cfg
 
 
@@ -421,6 +423,21 @@ class TestCompare:
         assert long_lines[0] == "agent,seed,epoch,metric,value"
         assert len(long_lines) == 1 + len(result.long_rows)
 
+    def test_each_row_is_the_job_of_its_agent_and_seed(self):
+        """compare's per-seed KPIs are run_agent's eval rows for that kind and
+        seed, a learner trained for run.total_epochs first and a baseline not."""
+        agent = {"kind": "pat", "warmup_size": 40, "batch_size": 8, "buffer_capacity": 256}
+        cfg = desk_cfg(agent=agent, total_epochs=12, eval_epochs=5)
+        kinds, seeds = list(harness.AGENT_KINDS), [2, 5]
+        result = compare(cfg, kinds, seeds=seeds)
+        for kind in kinds:
+            acfg = with_agent(cfg, kind)
+            train = acfg.run.total_epochs if kind in harness.LEARNERS else 0
+            for i, seed in enumerate(seeds):
+                _, train_rows, eval_rows = run_agent(acfg, seed, train, 5)
+                assert len(train_rows) == train and len(eval_rows) == 5
+                assert result.per_seed[kind][i] == compute_kpis(eval_rows), (kind, seed)
+
     def test_baselines_are_priced_by_the_documents_block(self):
         """The learner block's beta prices every agent's requests, so greedy's
         mean_reward moves with it, as the learner's does."""
@@ -704,6 +721,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:") and missing in err
 
+    @pytest.mark.parametrize("kind", ["greedy", "cloud", "random"])
+    def test_eval_of_a_baseline_refuses_a_checkpoint(self, tmp_path, capsys, kind):
+        path = self.write_cfg(tmp_path, agent={"kind": "pat"})
+        for ckpt in (str(tmp_path / "nowhere.npz"), ""):
+            assert cli.main(["eval", "--config", path, "--agent", kind, "--checkpoint", ckpt,
+                             "--quiet"]) == 1
+            assert capsys.readouterr().err == \
+                f"error: eval: agent {kind!r} is not a learner and takes no --checkpoint\n"
+        assert cli.main(["eval", "--config", path, "--agent", kind, "--quiet"]) == 0
+
     def test_eval_refuses_a_checkpoint_of_another_kind(self, tmp_path, capsys):
         path = self.write_cfg(tmp_path, agent={"kind": "pat"})
         out = tmp_path / "out"
@@ -737,6 +764,13 @@ class TestCli:
                                  "--quiet"]) == 1
                 assert capsys.readouterr().err == \
                     f"error: {other}: meta: {key} takes integers >= {low}, not {value!r}\n"
+        # meta.scale takes two finite JSON numbers: no bool, string or infinity
+        for value in ([True, 50], [float("inf"), 50], ["5", 50]):
+            np.savez(other, **{**arrays, "meta": np.array(json.dumps({**meta, "scale": value}))})
+            assert cli.main(["eval", "--config", path, "--checkpoint", str(other),
+                             "--quiet"]) == 1
+            assert capsys.readouterr().err == \
+                f"error: {other}: meta: scale takes two finite numbers, not {value!r}\n"
         # meta.cfg is checked as the kind's agent block is
         for key, value, err in (("batch_size", True, "takes integers, not True"),
                                 ("gamma", True, "takes numbers, not True"),

@@ -730,6 +730,13 @@ class TestCheckpoint:
             "updates": meta["updates"], "cfg": meta["cfg"]}))
         np.savez(tmp_path / "old.npz", **arrays)
         again = DdqnPairAgent.load(tmp_path / "old.npz")
+        # the spans are checked as scale is: two finite JSON numbers
+        for span in (True, "5", float("inf")):
+            bad = {**json.loads(str(arrays["meta"])), "span_cpu": span}
+            np.savez(tmp_path / "bad.npz", **{**arrays, "meta": np.array(json.dumps(bad))})
+            with pytest.raises(ValueError, match=r"meta: span_cpu/span_mem takes two finite "
+                                                 r"numbers, not \["):
+                DdqnPairAgent.load(tmp_path / "bad.npz")
         assert again.updates == 5
         assert again.grid.resolution == g.resolution
         assert np.array_equal(again.grid.values_cpu, g.values_cpu)
