@@ -154,8 +154,10 @@ class _PairedLearner(LearnerBase):
         if self.phase == 1:
             return {"loss": self._update_params(batch)[0]}
         states, actions, _, rewards, next_states = batch
-        return {"loss": dqn_update(self.server_q, self.t_server_q, self.adam_server,
-                                   states, actions, rewards, next_states, self.cfg.gamma)}
+        loss = dqn_update(self.server_q, self.t_server_q, self.adam_server,
+                          states, actions, rewards, next_states, self.cfg.gamma)
+        self._blend("server_q")
+        return {"loss": loss}
 
 
 class DdqnPairAgent(_PairedLearner):
@@ -179,8 +181,10 @@ class DdqnPairAgent(_PairedLearner):
 
     def _update_params(self, batch) -> tuple:
         states, _, params, rewards, next_states = batch
-        return (dqn_update(self.param_q, self.t_param_q, self.adam_param, states,
-                           self.grid.cells_of(params), rewards, next_states, self.cfg.gamma),)
+        loss = dqn_update(self.param_q, self.t_param_q, self.adam_param, states,
+                          self.grid.cells_of(params), rewards, next_states, self.cfg.gamma)
+        self._blend("param_q")
+        return (loss,)
 
 
 class DdpgPairAgent(_PairedLearner):

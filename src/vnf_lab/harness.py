@@ -111,6 +111,15 @@ _JSON_TYPES = {"int": ((int,), "integers"), "int | None": ((int, type(None)), "i
                "str | None": ((str, type(None)), "strings or null")}
 
 
+def finite_number(value) -> bool:
+    """Whether value is a JSON number that float() takes to a finite float: json
+    reads NaN and Infinity, and integers of any size."""
+    try:
+        return type(value) in (int, float) and math.isfinite(float(value))
+    except OverflowError:
+        return False
+
+
 def _build_section(cls, data: dict, path: str):
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -121,7 +130,7 @@ def _build_section(cls, data: dict, path: str):
         types, what = _JSON_TYPES[fields[key]]
         if type(value) not in types:
             raise ConfigError(f"{path}: {key} takes {what}, not {value!r}")
-        if type(value) is float and not math.isfinite(value):  # json reads NaN, Infinity
+        if fields[key] == "float" and not finite_number(value):
             raise ConfigError(f"{path}: {key} takes finite numbers, not {value!r}")
     try:
         return cls(**data)
@@ -307,13 +316,18 @@ def aggregate_kpis(per_seed: list) -> dict:
 def run_agent(cfg: ExperimentConfig, seed: int, train_epochs: int, eval_epochs: int, sink=None):
     """Train and compare's one job: cfg's agent runs train_epochs on seed's training trace, rows
     to sink every run.metrics_every epochs, then eval_epochs on the shared evaluation trace (a
-    baseline is rebuilt first, so evaluated as built). Returns (agent, train_rows, eval_rows)."""
+    baseline is rebuilt first, so evaluated as built). A learner is closed at the end, which
+    stops its update's helper process. Returns (agent, train_rows, eval_rows)."""
     env = build_env(cfg, seed, stream=0)
     agent = build_agent(cfg, env, seed)
-    train_rows = _drive(env, agent, train_epochs, sink, cfg.run.metrics_every)
-    if not isinstance(agent, LearnerBase):
-        agent = build_agent(cfg, env, seed)
-    return agent, train_rows, evaluate_agent(cfg, agent, seed, eval_epochs)
+    try:
+        train_rows = _drive(env, agent, train_epochs, sink, cfg.run.metrics_every)
+        if not isinstance(agent, LearnerBase):
+            agent = build_agent(cfg, env, seed)
+        return agent, train_rows, evaluate_agent(cfg, agent, seed, eval_epochs)
+    finally:
+        if isinstance(agent, LearnerBase):
+            agent.close()
 
 
 @dataclass

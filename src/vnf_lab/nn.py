@@ -6,7 +6,8 @@ A net computes in the dtype it is built with (float64 by default; the
 learners build float32 nets), and every function here follows the dtype of
 its inputs, so a net fed arrays of its own dtype never promotes. A net's
 parameters, its gradient and its Adam moments are vectors of one layout,
-whose layers are views (layer_views).
+whose layers are views (layer_views). A net and an optimizer can be built
+over a buffer they are given, such as memory shared with another process.
 Hidden layers use leaky ReLU (slope 0.01); the output head is linear or tanh
 scaled componentwise. Adam and the soft update work in place on whole vectors
 but keep the textbook's operations in their order: the plain formulas' bits.
@@ -40,15 +41,20 @@ def layer_views(sizes, flat):
 class Mlp:
     """Fully connected net. sizes = (n_in, h1, ..., n_out); params is one
     vector of dtype, zero until initialized, and weights and biases are its
-    layer views. Write parameters through the views, never rebind them."""
+    layer views. Write parameters through the views, never rebind them.
+    Given a writable buffer, params is a view of its first bytes, zeroed."""
 
-    def __init__(self, sizes, head_scale=None, dtype=np.float64):
+    def __init__(self, sizes, head_scale=None, dtype=np.float64, buffer=None):
         sizes = tuple(int(s) for s in sizes)
         if len(sizes) < 2:
             raise ValueError("Mlp needs at least input and output sizes")
         self.sizes = sizes
-        self.params = np.zeros(sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:])),
-                               dtype=dtype)
+        n = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:]))
+        if buffer is None:
+            self.params = np.zeros(n, dtype=dtype)
+        else:
+            self.params = np.frombuffer(buffer, dtype=dtype, count=n)
+            self.params[:] = 0.0
         self.weights, self.biases = layer_views(sizes, self.params)
         self.head_scale = None if head_scale is None else np.array(head_scale, dtype=dtype)
         if self.head_scale is not None and self.head_scale.shape != (sizes[-1],):
@@ -179,21 +185,43 @@ def softmax(x):
 
 class AdamState:
     """Adam with bias correction, ADAM_BETA1/ADAM_BETA2/ADAM_EPS. The
-    moments m and v are vectors in the layout of the net's params."""
+    moments m and v are vectors in the layout of the net's params; the step
+    count t is kept in a one-entry int64 array. Given a writable buffer of
+    nbytes(mlp) bytes, m, v and then the count are views of it, zeroed."""
 
-    def __init__(self, mlp: Mlp, lr: float = 1e-3):
+    def __init__(self, mlp: Mlp, lr: float = 1e-3, buffer=None):
         self.lr = lr
-        self.t = 0
-        self.m = np.zeros_like(mlp.params)
-        self.v = np.zeros_like(mlp.params)
+        n = mlp.params.size
+        if buffer is None:
+            self._t = np.zeros(1, dtype=np.int64)
+            self.m = np.zeros_like(mlp.params)
+            self.v = np.zeros_like(mlp.params)
+        else:
+            self.m, self.v = np.frombuffer(buffer, mlp.params.dtype, 2 * n).reshape(2, n)
+            self._t = np.frombuffer(buffer, np.int64, 1, offset=self.nbytes(mlp) - 8)
+            self.m[:] = self.v[:] = self._t[:] = 0
+
+    @staticmethod
+    def nbytes(mlp: Mlp) -> int:
+        """The size of a buffer that holds mlp's optimizer: both moments,
+        then the count at the next multiple of 8 bytes."""
+        return -(-2 * mlp.params.nbytes // 8) * 8 + 8
+
+    @property
+    def t(self) -> int:
+        return int(self._t[0])
+
+    @t.setter
+    def t(self, value: int):
+        self._t[0] = value
 
     def step(self, mlp: Mlp, g):
         """One step on the gradient g (backward's vector): m = b1 m + (1 - b1) g;
         v = b2 v + (1 - b2) g g; p -= lr (m / c1) / (sqrt(v / c2) + eps),
         evaluated in that order through two temporaries."""
-        self.t += 1
-        c1 = 1.0 - ADAM_BETA1 ** self.t
-        c2 = 1.0 - ADAM_BETA2 ** self.t
+        t = self.t = self.t + 1
+        c1 = 1.0 - ADAM_BETA1 ** t
+        c2 = 1.0 - ADAM_BETA2 ** t
         m, v = self.m, self.v
         m *= ADAM_BETA1
         num = np.multiply(g, 1.0 - ADAM_BETA1)

@@ -10,6 +10,15 @@ LearnerBase holds what this learner shares with the DDQN and DDPG pairs of
 the baselines module: replay, schedules, select, train_step, checkpoints and
 the actor-critic update, which the DDPG pair runs with one critic.
 
+A learner keeps every net, its lagged copy and its Adam state in one shared
+anonymous mapping. PAT's update runs in two lanes: a helper process, forked
+at its first update where two CPUs and os.fork are there, runs the second
+critic's target forward and regression and the discrete actor's ascent on
+that memory while this process runs the first critic's and the parameter
+actor's. Each net sees the same numpy calls in the same order either way, so
+the bits do not depend on the lanes. With one CPU the helper's phases run
+inline, each after its counterpart in this process, as in a serial update.
+
 The learners compute and store in one dtype, DTYPE (float32): every net,
 gradient and Adam moment, the replay arrays and every batch input. The env's
 features, costs and actions stay float64; a learner casts them at its own
@@ -20,11 +29,19 @@ the target smoothing noise then cast, so every rng stream makes the same draws.
 from __future__ import annotations
 
 import bisect
+import builtins
+import contextlib
 import functools
 import json
 import math
+import mmap
 import operator
 import os
+import select
+import signal
+import time
+import traceback
+import weakref
 from dataclasses import dataclass, asdict
 from numbers import Real
 
@@ -245,6 +262,121 @@ def keep_freed_memory():
     mallopt(-3, 4 << 20)   # M_MMAP_THRESHOLD
 
 
+def shared_buffers(sizes) -> list:
+    """Writable buffers of sizes (in bytes), cut at 64-byte boundaries from one
+    anonymous shared mapping: a process forked later reads and writes the
+    same memory."""
+    starts = [0]
+    for n in sizes:
+        starts.append(starts[-1] + -(-n // 64) * 64)
+    mem = memoryview(mmap.mmap(-1, max(starts[-1], 1)))
+    return [mem[a:a + n] for a, n in zip(starts, sizes)]
+
+
+def two_lanes() -> bool:
+    """Whether a helper process can run beside this one: os.fork exists and
+    this process may run on two CPUs or more."""
+    return (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
+# the pipe ends this process holds to its live helpers, of every learner:
+# process-wide, as each newly forked helper must close them all
+_OWNER_ENDS = set()
+SPIN_S = 0.002  # how long a lane polls its pipe before it sleeps on it
+WAKE = 255  # a command with no reply: poll for the next one
+
+
+class Helper:
+    """A forked process that runs its learner's helper phases (the method
+    names in _HELPER_PHASES) on the memory the two processes share.
+
+    For each phase index read from its command pipe it runs the phase and
+    writes one reply line: empty, or the JSON [type name, text] of the error
+    the phase raised, whose traceback it prints to the standard error it
+    shares with its owner. It ignores SIGINT, which its owner handles, and exits
+    when the command pipe reads EOF: when close() or the learner's collection
+    closes the pipe, or when its owner dies. It holds no pipe end of its
+    owner's, so no other helper keeps its pipe open."""
+
+    def __init__(self, learner):
+        cmd_r, cmd_w = os.pipe()
+        reply_r, reply_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                signal.signal(signal.SIGINT, signal.SIG_IGN)
+                for fd in (cmd_w, reply_r, *_OWNER_ENDS):
+                    os.close(fd)
+                _serve(learner, cmd_r, reply_w)
+            finally:
+                os._exit(0)
+        os.close(cmd_r)
+        os.close(reply_w)
+        os.set_blocking(reply_r, False)
+        self.pid, self._cmd, self._reply = pid, cmd_w, reply_r
+        _OWNER_ENDS.update((cmd_w, reply_r))
+        # closes the pipe and waits for the helper once: on close() or when learner is collected
+        self.close = weakref.finalize(learner, _reap, os.getpid(), pid, cmd_w, reply_r)
+
+    def send(self, phase: int):
+        os.write(self._cmd, bytes((phase,)))
+
+    def wake(self):
+        """Have the helper poll for its next phase, as it does for SPIN_S after
+        each reply: a process that sleeps on its pipe wakes slowly and then
+        runs slowly for a while."""
+        self.send(WAKE)
+
+    def wait(self):
+        """The reply to the last phase sent: None, or [type name, text] of its error."""
+        reply = b""
+        while not reply.endswith(b"\n"):
+            chunk = _receive(self._reply, 4096)
+            if not chunk:
+                return ["RuntimeError", f"the helper process {self.pid} exited"]
+            reply += chunk
+        return json.loads(reply) if len(reply) > 1 else None
+
+
+def _serve(learner, cmd: int, reply: int):
+    """The helper's loop: run each phase read from cmd and reply on reply, until EOF."""
+    os.set_blocking(cmd, False)
+    while got := _receive(cmd, 1):
+        if got[0] == WAKE:
+            continue
+        try:
+            getattr(learner, learner._HELPER_PHASES[got[0]])()
+            out = b"\n"
+        except Exception as exc:  # reported to the owner, which raises it
+            traceback.print_exc()
+            out = json.dumps([type(exc).__name__, str(exc)]).encode() + b"\n"
+        while out:
+            out = out[os.write(reply, out):]
+
+
+def _receive(fd: int, n: int) -> bytes:
+    """Up to n bytes of the non-blocking fd, b"" at EOF: polled for SPIN_S, then slept on."""
+    deadline = time.perf_counter() + SPIN_S
+    while True:
+        try:
+            return os.read(fd, n)
+        except BlockingIOError:
+            if time.perf_counter() > deadline:
+                select.select([fd], [], [])
+
+
+def _reap(owner: int, pid: int, *ends):
+    """Close a helper's pipe ends and wait for it to exit; only its owner
+    does, not a process forked from the owner."""
+    if os.getpid() != owner:
+        return
+    for fd in ends:
+        _OWNER_ENDS.discard(fd)
+        os.close(fd)
+    os.waitpid(pid, 0)
+
+
 def npz_path(path) -> str:
     """The file np.savez writes for path: it appends .npz when missing."""
     path = os.fspath(path)
@@ -254,14 +386,17 @@ def npz_path(path) -> str:
 class LearnerBase:
     """What the learners share: seeded rng, replay, the update counter and the
     exploration schedules derived from it, select, warm-up gated training with
-    its soft updates, checkpoints, and PAT's actor-critic update.
+    its soft updates, checkpoints, PAT's actor-critic update and its helper
+    process.
 
     Every kind is built as Kind(state_dim, n_targets, param_scale, cfg, seed),
     param_scale being the (rho_max, eta_max) box of the deltas. A subclass
     names its kind, its config class and its optimizers (_ADAMS: optimizer ->
     net), builds its live nets in _build(s, a) through _init_nets, and
     implements _update(batch) -> stats. Its checkpointed nets (_NETS) are the
-    live nets in _ADAMS order, then their lagged t_ copies."""
+    live nets in _ADAMS order, then their lagged t_ copies. A kind whose
+    update runs phases in a helper process names them in _HELPER_PHASES and
+    runs each with _helper_runs; close() stops the helper."""
 
     _KIND = ""
     _CONFIG = PatConfig
@@ -272,6 +407,7 @@ class LearnerBase:
     _SELECTOR = _PARAM_NET = _NEXT_SELECTOR = ""
     _CRITICS: tuple = ()
     _SMOOTH = False
+    _HELPER_PHASES: tuple = ()
 
     def __init_subclass__(cls):
         live = tuple(cls._ADAMS.values())
@@ -295,6 +431,7 @@ class LearnerBase:
         self._target_rows = np.eye(self.n_targets, dtype=DTYPE)
         self.updates = 0
         self.eval_mode = False
+        self._helper = None  # a Helper once an update forked one
         self._build(self.state_dim, self.n_targets)
 
     def _build(self, s: int, a: int):
@@ -305,14 +442,21 @@ class LearnerBase:
         return nn.Mlp(sizes, self.scale if scaled else None, DTYPE)
 
     def _init_nets(self, **live):
-        """Gaussian-init the live nets in order, clone each into its lagged
-        t_ copy, and give every optimizer of _ADAMS its net."""
-        for name, net in live.items():
+        """Build the live nets of these shapes in one shared arena
+        (shared_buffers), each followed by its lagged t_ copy and its
+        optimizer of _ADAMS; Gaussian-init the live nets in order, and copy
+        each into its t_ copy."""
+        optimizer = {net: name for name, net in self._ADAMS.items()}
+        buffers = iter(shared_buffers([n for net in live.values() for n in (
+            net.params.nbytes, net.params.nbytes, nn.AdamState.nbytes(net))]))
+        for name, shape in live.items():
+            net, lagged = (nn.Mlp(shape.sizes, shape.head_scale, DTYPE, next(buffers))
+                           for _ in range(2))
             nn.gaussian_init(net, self.rng)
+            lagged.params[:] = net.params
             setattr(self, name, net)
-            setattr(self, "t_" + name, nn.clone(net))
-        for name, net in self._ADAMS.items():
-            setattr(self, name, nn.AdamState(getattr(self, net), lr=self.cfg.lr))
+            setattr(self, "t_" + name, lagged)
+            setattr(self, optimizer[name], nn.AdamState(net, self.cfg.lr, next(buffers)))
         self._adam_of = {net: getattr(self, name) for name, net in self._ADAMS.items()}
         self._select_nets = (getattr(self, self._SELECTOR), getattr(self, self._PARAM_NET))
 
@@ -345,8 +489,8 @@ class LearnerBase:
         bound = self.clip_c * self.scale
         return np.clip(w, -bound, bound)
 
-    def _critic_input(self, states, onehots, params) -> np.ndarray:
-        return np.concatenate([states, onehots, params / self.p_feat], axis=1)
+    def _critic_input(self, states, onehots, params, out=None) -> np.ndarray:
+        return np.concatenate([states, onehots, params / self.p_feat], axis=1, out=out)
 
     def _eps_greedy(self, net: nn.Mlp, s: np.ndarray, explore: bool) -> int:
         if explore and self.rng.random() < self.eps:
@@ -376,15 +520,13 @@ class LearnerBase:
         return ParamAction(a, _clip(p_cpu, -rho, rho), _clip(p_mem, -eta, eta))
 
     def train_step(self) -> dict:
-        """One optimization round, then the soft update of the t_ copy of each
-        net whose optimizer stepped; a no-op until the warmup fill is reached."""
+        """One optimization round, each net's t_ copy soft-updated right after
+        its optimizer steps; a no-op until the warmup fill is reached."""
         if self.buffer.size < self.cfg.warmup_size:
             return {"trained": False, "eps": self.eps, "clip_c": self.clip_c}
-        steps = [adam.t for adam in self._adam_of.values()]
+        if self._helper is not None:
+            self._helper.wake()
         stats = self._update(self.buffer.sample(self.cfg.batch_size, self.rng))
-        for (name, adam), t in zip(self._adam_of.items(), steps):
-            if adam.t != t:
-                nn.soft_update(getattr(self, "t_" + name), getattr(self, name), self.cfg.tau)
         self.updates += 1
         for key, value in stats.items():
             if not math.isfinite(value):
@@ -394,6 +536,46 @@ class LearnerBase:
 
     def _update(self, batch) -> dict:
         raise NotImplementedError
+
+    def _blend(self, name: str):
+        """Soft-update net name's t_ copy; run right after the net's optimizer
+        step, as no update reads a t_ copy after that."""
+        nn.soft_update(getattr(self, "t_" + name), getattr(self, name), self.cfg.tau)
+
+    @contextlib.contextmanager
+    def _helper_runs(self, phase: str):
+        """Run the body while the helper runs phase, one of _HELPER_PHASES:
+        in the helper process, forked at the first call where two_lanes(),
+        or else inline after the body. A helper error stops the helper and is
+        raised here, of its builtin type (else RuntimeError), naming the update."""
+        if self._helper is None and two_lanes():
+            self._helper = Helper(self)
+        if self._helper is None:
+            yield
+            getattr(self, phase)()
+            return
+        self._helper.send(self._HELPER_PHASES.index(phase))
+        try:
+            yield
+        finally:
+            try:
+                error = self._helper.wait()
+            except BaseException:  # Ctrl-C: a reply left unread would answer the next phase
+                self.close()
+                raise
+            if error is not None:
+                self.close()
+                name, text = error
+                kind = getattr(builtins, name, None)
+                if not (isinstance(kind, type) and issubclass(kind, Exception)):
+                    kind, text = RuntimeError, f"{name}: {text}"
+                raise kind(f"{self._KIND} update {self.updates + 1}: {text}")
+
+    def close(self):
+        """Stop the helper process, if one runs; a later update forks a new one."""
+        if self._helper is not None:
+            self._helper.close()
+            self._helper = None
 
     def compute_targets(self, batch):
         """Bootstrapped values and their parts: reward plus the discounted
@@ -407,24 +589,31 @@ class LearnerBase:
             noise = self._clipped_noise((next_states.shape[0], 2)).astype(DTYPE)
             p_next = np.clip(p_next + noise, -self.box, self.box)
         p_next[a_next == self.cloud_action] = 0.0  # offloads carry no parameters
-        xc = self._critic_input(next_states, oh, p_next)
-        qs = [nn.forward(getattr(self, "t_" + name), xc)[:, 0] for name in self._CRITICS]
+        qs = self._target_values(next_states, oh, p_next)
         y = rewards + self.cfg.gamma * functools.reduce(np.minimum, qs)
         return y, {"a_next": a_next, "p_next": p_next, "q": qs}
+
+    def _target_values(self, next_states, onehots, p_next) -> list:
+        """Each target critic's values at the next states, targets and deltas."""
+        xc = self._critic_input(next_states, onehots, p_next)
+        return [nn.forward(getattr(self, "t_" + name), xc)[:, 0] for name in self._CRITICS]
 
     def update_critics(self, batch, y) -> tuple:
         """One mean-squared-error step of each critic toward y; the losses before it."""
         states, actions, params, _, _ = batch
         xc = self._critic_input(states, self._target_rows[actions], params)
-        losses = []
-        for name in self._CRITICS:
-            net = getattr(self, name)
-            q, cache = nn.forward_cached(net, xc)
-            resid = q[:, 0] - y
-            losses.append(float(np.mean(resid * resid)))
-            gq = (2.0 / xc.shape[0]) * resid[:, None]
-            self._adam_of[name].step(net, nn.backward(net, cache, gq))
-        return tuple(losses)
+        return tuple(self._fit_critic(name, xc, y) for name in self._CRITICS)
+
+    def _fit_critic(self, name: str, xc, y) -> float:
+        """One mean-squared-error step of critic name toward y at inputs xc; the loss before it."""
+        net = getattr(self, name)
+        q, cache = nn.forward_cached(net, xc)
+        resid = q[:, 0] - y
+        loss = float(np.mean(resid * resid))
+        gq = (2.0 / xc.shape[0]) * resid[:, None]
+        self._adam_of[name].step(net, nn.backward(net, cache, gq))
+        self._blend(name)
+        return loss
 
     def update_actors(self, batch):
         """Ascend the first critic through the parameter actor at the stored targets."""
@@ -432,6 +621,7 @@ class LearnerBase:
         ascend_param_actor(getattr(self, self._PARAM_NET), self._adam_of[self._PARAM_NET],
                            getattr(self, self._CRITICS[0]), states,
                            self._target_rows[actions], param_scale=self.p_feat)
+        self._blend(self._PARAM_NET)
 
     def _update_params(self, batch) -> tuple:
         """The actor-critic update: bootstrap, critics, actors; the critics' losses."""
@@ -501,12 +691,12 @@ class LearnerBase:
                 if type(meta[key]) is not int or meta[key] < low:
                     raise ValueError(f"{path}: meta: {key} takes integers >= {low}, "
                                      f"not {meta[key]!r}")
+            # at call time: harness imports this module
+            from .harness import _build_section, finite_number
             scale = meta["scale"] if "scale" in meta else [meta["span_cpu"], meta["span_mem"]]
-            if type(scale) is not list or len(scale) != 2 or any(
-                    type(x) not in (int, float) or not math.isfinite(x) for x in scale):
+            if type(scale) is not list or len(scale) != 2 or not all(map(finite_number, scale)):
                 raise ValueError(f"{path}: meta: {'/'.join(spans)} takes two finite numbers, "
                                  f"not {scale!r}")
-            from .harness import _build_section  # at call time: harness imports this module
             cfg = _build_section(cls._CONFIG, meta["cfg"], f"{path}: meta: cfg")
             try:
                 agent = cls(meta["state_dim"], meta["n_targets"], scale, cfg, seed=seed)
@@ -528,7 +718,9 @@ class LearnerBase:
 
 
 class PatAgent(LearnerBase):
-    """Twin-critic learner over parameterized placement actions."""
+    """Twin-critic learner over parameterized placement actions. Its helper
+    lane runs the second critic's target forward and regression and the
+    discrete actor's ascent, on batch arrays in shared memory (_lane_arrays)."""
 
     _KIND = "pat"
     _ADAMS = {"adam_actor_action": "actor_action", "adam_actor_param": "actor_param",
@@ -538,18 +730,67 @@ class PatAgent(LearnerBase):
     _NEXT_SELECTOR = "t_actor_action"
     _CRITICS = ("critic_1", "critic_2")
     _SMOOTH = True
+    _HELPER_PHASES = ("_target_q2", "_fit_critic_2", "_ascend_actor_action")
 
     def _build(self, s: int, a: int):
         self._init_nets(actor_action=self._net(s, *HIDDEN, a),
                         actor_param=self._net(s + a, *HIDDEN, 2, scaled=True),
                         critic_1=self._net(s + a + 2, *HIDDEN, 1),
                         critic_2=self._net(s + a + 2, *HIDDEN, 1))
+        self._lane = None  # the shared batch arrays, made at the first update
+
+    def _lane_arrays(self, rows: int) -> dict:
+        """The batch arrays both lanes read and write, in shared memory, for
+        batches of rows. Making new ones stops a running helper, which holds
+        the old ones; the next update forks one that holds these."""
+        if self._lane is None or len(self._lane["y"]) != rows:
+            self.close()
+            width = self.state_dim + self.n_targets + 2
+            shapes = {"xc_next": (rows, width), "xc": (rows, width),
+                      "states": (rows, self.state_dim), "params": (rows, 2),
+                      "q2": (rows,), "y": (rows,), "loss_2": (1,)}
+            buffers = shared_buffers([math.prod(shape) * DTYPE().itemsize
+                                      for shape in shapes.values()])
+            self._lane = {name: np.frombuffer(buf, DTYPE).reshape(shape)
+                          for (name, shape), buf in zip(shapes.items(), buffers)}
+        return self._lane
+
+    def _target_values(self, next_states, onehots, p_next) -> list:
+        lane = self._lane_arrays(len(next_states))
+        xc = self._critic_input(next_states, onehots, p_next, out=lane["xc_next"])
+        with self._helper_runs("_target_q2"):
+            q1 = nn.forward(self.t_critic_1, xc)[:, 0]
+        return [q1, lane["q2"].copy()]
+
+    def _target_q2(self):
+        self._lane["q2"][:] = nn.forward(self.t_critic_2, self._lane["xc_next"])[:, 0]
+
+    def update_critics(self, batch, y) -> tuple:
+        """One mean-squared-error step of each critic toward y, cast to DTYPE;
+        the losses before it."""
+        states, actions, params, _, _ = batch
+        lane = self._lane_arrays(len(actions))
+        self._critic_input(states, self._target_rows[actions], params, out=lane["xc"])
+        lane["y"][:] = y
+        with self._helper_runs("_fit_critic_2"):
+            loss_1 = self._fit_critic("critic_1", lane["xc"], lane["y"])
+        return loss_1, float(lane["loss_2"][0])
+
+    def _fit_critic_2(self):
+        self._lane["loss_2"][0] = self._fit_critic("critic_2", self._lane["xc"], self._lane["y"])
 
     def update_actors(self, batch):
         """Ascend the first critic: deltas through the parameter head, target
         scores through a softmax relaxation at the stored deltas."""
-        super().update_actors(batch)
         states, _, params, _, _ = batch
+        lane = self._lane_arrays(len(states))
+        lane["states"][:] = states
+        lane["params"][:] = params
+        with self._helper_runs("_ascend_actor_action"):
+            super().update_actors(batch)
+
+    def _ascend_actor_action(self):
+        states, params = self._lane["states"], self._lane["params"]
         scores, cache_a = nn.forward_cached(self.actor_action, states)
         soft = nn.softmax(scores)
         gin = mean_value_input_grad(self.critic_1, self._critic_input(states, soft, params))
@@ -557,6 +798,7 @@ class PatAgent(LearnerBase):
         gscores = soft * (ga - (ga * soft).sum(axis=1, keepdims=True))
         self.adam_actor_action.step(self.actor_action,
                                     nn.backward(self.actor_action, cache_a, -gscores))
+        self._blend("actor_action")
 
     def _update(self, batch) -> dict:
         return dict(zip(("critic_loss_1", "critic_loss_2"), self._update_params(batch)))

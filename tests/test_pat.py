@@ -2,6 +2,7 @@
 
 import collections
 import json
+import os
 import struct
 
 import numpy as np
@@ -857,7 +858,9 @@ class TestOneDtype:
         AdamState.step and soft_update, and the activation, softmax and
         backprop helpers they call, DTYPE arrays only, and those return DTYPE
         arrays only; every net, target net, Adam moment and replay float
-        array is DTYPE."""
+        array is DTYPE. The learner sees one CPU, so PAT's helper phases run
+        inline, where the spies see them; a helper process runs the same code."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         cfg = harness.config_from_dict(desk_learner_doc(kind))
         env = harness.build_env(cfg, 11)
         agent = harness.build_agent(cfg, env, 11)
