@@ -10,14 +10,15 @@ LearnerBase holds what this learner shares with the DDQN and DDPG pairs of
 the baselines module: replay, schedules, select, train_step, checkpoints and
 the actor-critic update, which the DDPG pair runs with one critic.
 
-A learner keeps every net, its lagged copy and its Adam state in one shared
-anonymous mapping. PAT's update runs in two lanes: a helper process, forked
-at its first update where two CPUs and os.fork are there, runs the second
-critic's target forward and regression and the discrete actor's ascent on
-that memory while this process runs the first critic's and the parameter
-actor's. Each net sees the same numpy calls in the same order either way, so
-the bits do not depend on the lanes. With one CPU the helper's phases run
-inline, each after its counterpart in this process, as in a serial update.
+A learner keeps every net, its lagged copy, its Adam state and PAT's batch
+arrays in one shared anonymous mapping, made at build. PAT's update runs in
+two lanes: a helper process, forked at its first update where two CPUs and
+os.fork are there, runs the second critic's target forward and regression and
+the discrete actor's ascent on that memory while this process runs the first
+critic's and the parameter actor's. Each net sees the same numpy calls in the
+same order either way, so the bits do not depend on the lanes. With one CPU
+the helper's phases run inline, each after its counterpart in this process,
+as in a serial update.
 
 The learners compute and store in one dtype, DTYPE (float32): every net,
 gradient and Adam moment, the replay arrays and every batch input. The env's
@@ -284,7 +285,7 @@ def two_lanes() -> bool:
 # process-wide, as each newly forked helper must close them all
 _OWNER_ENDS = set()
 SPIN_S = 0.002  # how long a lane polls its pipe before it sleeps on it
-WAKE = 255  # a command with no reply: poll for the next one
+WAKE = 255  # sent before an update, no reply: a helper asleep on its pipe wakes and runs slowly
 
 
 class Helper:
@@ -320,13 +321,8 @@ class Helper:
         self.close = weakref.finalize(learner, _reap, os.getpid(), pid, cmd_w, reply_r)
 
     def send(self, phase: int):
-        os.write(self._cmd, bytes((phase,)))
-
-    def wake(self):
-        """Have the helper poll for its next phase, as it does for SPIN_S after
-        each reply: a process that sleeps on its pipe wakes slowly and then
-        runs slowly for a while."""
-        self.send(WAKE)
+        with contextlib.suppress(BrokenPipeError):  # the helper exited, which wait reports
+            os.write(self._cmd, bytes((phase,)))
 
     def wait(self):
         """The reply to the last phase sent: None, or [type name, text] of its error."""
@@ -374,7 +370,8 @@ def _reap(owner: int, pid: int, *ends):
     for fd in ends:
         _OWNER_ENDS.discard(fd)
         os.close(fd)
-    os.waitpid(pid, 0)
+    with contextlib.suppress(ChildProcessError):  # the kernel reaped it: SIGCHLD is ignored
+        os.waitpid(pid, 0)
 
 
 def npz_path(path) -> str:
@@ -441,14 +438,17 @@ class LearnerBase:
         """A DTYPE net of sizes; a scaled one has a tanh head over the delta box."""
         return nn.Mlp(sizes, self.scale if scaled else None, DTYPE)
 
-    def _init_nets(self, **live):
+    def _init_nets(self, lane=None, **live):
         """Build the live nets of these shapes in one shared arena
         (shared_buffers), each followed by its lagged t_ copy and its
         optimizer of _ADAMS; Gaussian-init the live nets in order, and copy
-        each into its t_ copy."""
+        each into its t_ copy. The arena ends with the zeroed DTYPE arrays of
+        lane (name -> shape), kept as self._lane."""
+        lane = lane or {}
         optimizer = {net: name for name, net in self._ADAMS.items()}
         buffers = iter(shared_buffers([n for net in live.values() for n in (
-            net.params.nbytes, net.params.nbytes, nn.AdamState.nbytes(net))]))
+            net.params.nbytes, net.params.nbytes, nn.AdamState.nbytes(net))]
+            + [math.prod(shape) * DTYPE().itemsize for shape in lane.values()]))
         for name, shape in live.items():
             net, lagged = (nn.Mlp(shape.sizes, shape.head_scale, DTYPE, next(buffers))
                            for _ in range(2))
@@ -457,6 +457,8 @@ class LearnerBase:
             setattr(self, name, net)
             setattr(self, "t_" + name, lagged)
             setattr(self, optimizer[name], nn.AdamState(net, self.cfg.lr, next(buffers)))
+        self._lane = {name: np.frombuffer(next(buffers), DTYPE).reshape(shape)
+                      for name, shape in lane.items()}
         self._adam_of = {net: getattr(self, name) for name, net in self._ADAMS.items()}
         self._select_nets = (getattr(self, self._SELECTOR), getattr(self, self._PARAM_NET))
 
@@ -477,10 +479,14 @@ class LearnerBase:
         self.eval_mode = bool(flag)
 
     def store(self, state, action_index: int, params, reward: float, next_state):
-        """Add one transition to replay, cast to DTYPE. next_state may differ
-        from state in at most ReplayBuffer.PATCH entries, as every env
-        transition does, and params and reward must be real numbers; any
-        other raises ValueError and stores nothing."""
+        """Add one transition to replay, cast to DTYPE. action_index must
+        lie in [0, n_targets), next_state may differ from state in at most
+        ReplayBuffer.PATCH entries, as every env transition does, and params
+        and reward must be real numbers; any other raises ValueError and
+        stores nothing."""
+        a, n = action_index, self.n_targets
+        if type(a) is not bool and not 0 <= operator.index(a) < n:  # add refuses a bool
+            raise ValueError(f"action_index {a} lies outside [0, n_targets = {n})")
         self.buffer.add(state, action_index, params, reward, next_state)
 
     def _clipped_noise(self, shape) -> np.ndarray:
@@ -525,7 +531,7 @@ class LearnerBase:
         if self.buffer.size < self.cfg.warmup_size:
             return {"trained": False, "eps": self.eps, "clip_c": self.clip_c}
         if self._helper is not None:
-            self._helper.wake()
+            self._helper.send(WAKE)
         stats = self._update(self.buffer.sample(self.cfg.batch_size, self.rng))
         self.updates += 1
         for key, value in stats.items():
@@ -720,7 +726,10 @@ class LearnerBase:
 class PatAgent(LearnerBase):
     """Twin-critic learner over parameterized placement actions. Its helper
     lane runs the second critic's target forward and regression and the
-    discrete actor's ascent, on batch arrays in shared memory (_lane_arrays)."""
+    discrete actor's ascent. The lanes exchange four arrays of cfg.batch_size
+    rows in the nets' arena (_lane): the critic input xc (at the next states,
+    then at the batch), q2, y and loss_2. A batch of other rows raises
+    ValueError at its first write there, before any net or optimizer moves."""
 
     _KIND = "pat"
     _ADAMS = {"adam_actor_action": "actor_action", "adam_actor_param": "actor_param",
@@ -733,43 +742,27 @@ class PatAgent(LearnerBase):
     _HELPER_PHASES = ("_target_q2", "_fit_critic_2", "_ascend_actor_action")
 
     def _build(self, s: int, a: int):
-        self._init_nets(actor_action=self._net(s, *HIDDEN, a),
+        b = self.cfg.batch_size
+        self._init_nets(lane={"xc": (b, s + a + 2), "q2": (b,), "y": (b,), "loss_2": (1,)},
+                        actor_action=self._net(s, *HIDDEN, a),
                         actor_param=self._net(s + a, *HIDDEN, 2, scaled=True),
                         critic_1=self._net(s + a + 2, *HIDDEN, 1),
                         critic_2=self._net(s + a + 2, *HIDDEN, 1))
-        self._lane = None  # the shared batch arrays, made at the first update
-
-    def _lane_arrays(self, rows: int) -> dict:
-        """The batch arrays both lanes read and write, in shared memory, for
-        batches of rows. Making new ones stops a running helper, which holds
-        the old ones; the next update forks one that holds these."""
-        if self._lane is None or len(self._lane["y"]) != rows:
-            self.close()
-            width = self.state_dim + self.n_targets + 2
-            shapes = {"xc_next": (rows, width), "xc": (rows, width),
-                      "states": (rows, self.state_dim), "params": (rows, 2),
-                      "q2": (rows,), "y": (rows,), "loss_2": (1,)}
-            buffers = shared_buffers([math.prod(shape) * DTYPE().itemsize
-                                      for shape in shapes.values()])
-            self._lane = {name: np.frombuffer(buf, DTYPE).reshape(shape)
-                          for (name, shape), buf in zip(shapes.items(), buffers)}
-        return self._lane
 
     def _target_values(self, next_states, onehots, p_next) -> list:
-        lane = self._lane_arrays(len(next_states))
-        xc = self._critic_input(next_states, onehots, p_next, out=lane["xc_next"])
+        xc = self._critic_input(next_states, onehots, p_next, out=self._lane["xc"])
         with self._helper_runs("_target_q2"):
             q1 = nn.forward(self.t_critic_1, xc)[:, 0]
-        return [q1, lane["q2"].copy()]
+        return [q1, self._lane["q2"].copy()]
 
     def _target_q2(self):
-        self._lane["q2"][:] = nn.forward(self.t_critic_2, self._lane["xc_next"])[:, 0]
+        self._lane["q2"][:] = nn.forward(self.t_critic_2, self._lane["xc"])[:, 0]
 
     def update_critics(self, batch, y) -> tuple:
         """One mean-squared-error step of each critic toward y, cast to DTYPE;
         the losses before it."""
         states, actions, params, _, _ = batch
-        lane = self._lane_arrays(len(actions))
+        lane = self._lane
         self._critic_input(states, self._target_rows[actions], params, out=lane["xc"])
         lane["y"][:] = y
         with self._helper_runs("_fit_critic_2"):
@@ -782,19 +775,19 @@ class PatAgent(LearnerBase):
     def update_actors(self, batch):
         """Ascend the first critic: deltas through the parameter head, target
         scores through a softmax relaxation at the stored deltas."""
-        states, _, params, _, _ = batch
-        lane = self._lane_arrays(len(states))
-        lane["states"][:] = states
-        lane["params"][:] = params
+        states, actions, params, _, _ = batch
+        self._critic_input(states, self._target_rows[actions], params, out=self._lane["xc"])
         with self._helper_runs("_ascend_actor_action"):
             super().update_actors(batch)
 
     def _ascend_actor_action(self):
-        states, params = self._lane["states"], self._lane["params"]
+        xc, s = self._lane["xc"], self.state_dim
+        states = np.ascontiguousarray(xc[:, :s])
         scores, cache_a = nn.forward_cached(self.actor_action, states)
         soft = nn.softmax(scores)
-        gin = mean_value_input_grad(self.critic_1, self._critic_input(states, soft, params))
-        ga = gin[:, self.state_dim:self.state_dim + self.n_targets]
+        gin = mean_value_input_grad(
+            self.critic_1, np.concatenate([states, soft, xc[:, s + self.n_targets:]], axis=1))
+        ga = gin[:, s:s + self.n_targets]
         gscores = soft * (ga - (ga * soft).sum(axis=1, keepdims=True))
         self.adam_actor_action.step(self.actor_action,
                                     nn.backward(self.actor_action, cache_a, -gscores))

@@ -16,7 +16,7 @@ import pytest
 from vnf_lab import cli, nn, pat
 from vnf_lab.pat import DTYPE
 
-from test_pat import fill_buffer, make_learner
+from test_pat import N_TARGETS, STATE_DIM, fill_buffer, make_agent, make_learner, random_batch
 
 SRC = os.path.dirname(os.path.dirname(pat.__file__))
 
@@ -151,6 +151,21 @@ class TestLifecycle:
         del agent
         assert len(forks) == 1 and reaped(forks[0])
 
+    def test_close_returns_where_sigchld_is_ignored(self, monkeypatch):
+        """A process that ignores SIGCHLD has its children reaped by the
+        kernel; close() takes the helper as reaped, and no child is left."""
+        set_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        before = children()
+        handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            agent = trained_learner()
+            assert len(forks) == 1
+            agent.close()
+        finally:
+            signal.signal(signal.SIGCHLD, handler)
+        assert agent._helper is None and children() == before
+
     def test_the_helper_exits_when_its_owner_is_killed(self):
         """SIGKILL gives the owner no chance to close the pipe; the helper
         reads EOF and exits within 5 s. This process adopts the orphaned
@@ -224,6 +239,19 @@ class TestHelperErrors:
             agent.train_step()
         assert agent._helper is None
 
+    def test_a_helper_gone_before_the_update_is_reported_naming_the_update(self, monkeypatch):
+        """The helper's pipe ends are closed before the update writes to it:
+        the lost commands are not raised, the exit is."""
+        set_cpus(monkeypatch, 2)
+        agent = trained_learner()
+        pid = agent._helper.pid
+        os.kill(pid, signal.SIGKILL)
+        deadline = time.monotonic() + 5.0
+        while alive(pid) and time.monotonic() < deadline:  # a zombie holds no pipe end
+            time.sleep(0.01)
+        with pytest.raises(RuntimeError, match=rf"^pat update 2: the helper process {pid} exited$"):
+            agent.train_step()
+        assert agent._helper is None and reaped(pid)
 
     def test_an_interrupted_wait_stops_the_helper(self, monkeypatch):
         """Ctrl-C while the learner waits for a reply: the helper is stopped,
@@ -284,3 +312,77 @@ class TestSharedBuffers:
                 os._exit(0)
         os.waitpid(pid, 0)
         assert (x == 7.0).all()
+
+
+def mapping(arr):
+    """The mmap under an array cut from shared_buffers."""
+    while isinstance(arr, np.ndarray):
+        arr = arr.base
+    return arr.obj
+
+
+def moving_parts(agent) -> tuple:
+    """The bytes of every net's params and every optimizer's step count."""
+    return ({name: getattr(agent, name).params.tobytes() for name in agent._NETS},
+            {name: getattr(agent, name).t for name in agent._ADAMS})
+
+
+class TestLane:
+    """PAT's lanes exchange four arrays of cfg.batch_size rows, cut at build
+    from the mapping that holds the nets."""
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_lane_arrays_are_made_at_build_and_no_helper_before_the_first_update(
+            self, cpus, monkeypatch):
+        set_cpus(monkeypatch, cpus)
+        forks = count_forks(monkeypatch)
+        cuts = []
+        monkeypatch.setattr(pat, "shared_buffers",
+                            lambda sizes, cut=pat.shared_buffers: cuts.append(sizes) or cut(sizes))
+        agent = make_agent(seed=50, batch_size=5)
+        width = STATE_DIM + N_TARGETS + 2
+        lane = dict(agent._lane)
+        assert {name: (arr.shape, arr.dtype) for name, arr in lane.items()} == {
+            "xc": ((5, width), DTYPE), "q2": ((5,), DTYPE), "y": ((5,), DTYPE),
+            "loss_2": ((1,), DTYPE)}
+        assert all(mapping(arr) is mapping(agent.critic_1.params) for arr in lane.values())
+        rng = np.random.default_rng(51)
+        fill_buffer(agent, rng, 7)
+        assert not agent.train_step()["trained"] and forks == []
+        fill_buffer(agent, rng, 1)
+        assert agent.train_step()["trained"] and len(forks) == (cpus == 2)
+        assert all(agent._lane[name] is arr for name, arr in lane.items())
+        assert len(cuts) == 1
+        agent.close()
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    def test_actors_alone_step_as_after_the_targets(self, cpus, monkeypatch):
+        """update_actors writes its own critic input, so the softmax ascent
+        never reads the next-state input that compute_targets left in xc."""
+        set_cpus(monkeypatch, cpus)
+        batch = random_batch(np.random.default_rng(52))
+        after_targets, alone = make_learner("pat", 53), make_learner("pat", 53)
+        after_targets.compute_targets(batch)
+        for agent in (after_targets, alone):
+            agent.update_actors(batch)
+            agent.close()
+        got = [{name: getattr(agent, name).params.tobytes()
+                for name in ("actor_action", "actor_param")} for agent in (after_targets, alone)]
+        assert got[0] == got[1]
+        assert got[1]["actor_action"] != make_learner("pat", 53).actor_action.params.tobytes()
+
+    @pytest.mark.parametrize("cpus", [2, 1])
+    @pytest.mark.parametrize("rows", [7, 9])
+    def test_a_batch_of_other_rows_moves_nothing(self, cpus, rows, monkeypatch):
+        set_cpus(monkeypatch, cpus)
+        agent = trained_learner()
+        before = moving_parts(agent)
+        batch = random_batch(np.random.default_rng(54), rows)
+        for update in (lambda: agent.compute_targets(batch),
+                       lambda: agent.update_critics(batch, np.zeros(rows, DTYPE)),
+                       lambda: agent.update_actors(batch)):
+            with pytest.raises(ValueError):
+                update()
+            assert moving_parts(agent) == before
+        assert agent.train_step()["trained"]
+        agent.close()

@@ -239,6 +239,23 @@ class TestReplayBuffer:
                                            "refused far state")) > 0
 
     @pytest.mark.parametrize("kind", ["pat", "ddqn", "ddpg"])
+    def test_store_refuses_a_target_outside_the_range(self, kind):
+        """-1 would train as the cloud one-hot and n_targets would fail the
+        next update; store refuses both before the ring moves."""
+        agent = make_learner(kind, 60)
+        fill_buffer(agent, np.random.default_rng(61), 3)
+        state = np.zeros(STATE_DIM, DTYPE)
+        for index in (-1, N_TARGETS, np.int64(N_TARGETS)):
+            with pytest.raises(ValueError, match=rf"^action_index {index} lies outside "
+                                                 rf"\[0, n_targets = {N_TARGETS}\)$"):
+                agent.store(state, index, (0.0, 0.0), 0.0, state)
+            assert (agent.buffer.size, agent.buffer.cursor) == (3, 3)
+        with pytest.raises(ValueError, match=r"^action_index is True, not an integer$"):
+            agent.store(state, True, (0.0, 0.0), 0.0, state)
+        agent.store(state, N_TARGETS - 1, (0.0, 0.0), 0.0, state)
+        assert (agent.buffer.size, agent.buffer.cursor) == (4, 4)
+
+    @pytest.mark.parametrize("kind", ["pat", "ddqn", "ddpg"])
     def test_desk_training_stores_every_transition(self, kind):
         """The env changes at most ReplayBuffer.PATCH entries per request, so
         a desk train that wraps the ring and samples from it stores every
@@ -352,7 +369,7 @@ class TestSelect:
 
 class TestTargets:
     def test_bootstrap_combines_min_of_both_target_critics(self):
-        agent = make_agent(seed=8)
+        agent = make_agent(seed=8, batch_size=16)
         rng = np.random.default_rng(9)
         energize(agent.t_critic_1, rng)
         energize(agent.t_critic_2, rng)
@@ -364,7 +381,7 @@ class TestTargets:
         assert (q1 != q2).any()
 
     def test_constant_target_critics_give_known_value(self):
-        agent = make_agent(seed=10)
+        agent = make_agent(seed=10, batch_size=3)
         for net, value in ((agent.t_critic_1, 1.0), (agent.t_critic_2, 2.0)):
             for w in net.weights:
                 w[:] = 0.0
@@ -380,7 +397,7 @@ class TestTargets:
         assert (y == DTYPE(0.5) + DTYPE(0.99) * DTYPE(1.0)).all() and y.dtype == DTYPE
 
     def test_next_action_follows_target_score_net(self):
-        agent = make_agent(seed=12)
+        agent = make_agent(seed=12, batch_size=32)
         rng = np.random.default_rng(13)
         energize(agent.t_actor_action, rng, std=0.1)
         batch = random_batch(rng, 32)
@@ -399,7 +416,7 @@ class TestTargets:
         assert (info["p_next"] == 0.0).all()
 
     def test_smoothed_params_respect_box(self):
-        agent = make_agent(seed=16, sigma_noise=5.0)
+        agent = make_agent(seed=16, sigma_noise=5.0, batch_size=64)
         batch = random_batch(np.random.default_rng(17), 64)
         _, info = agent.compute_targets(batch)
         assert (np.abs(info["p_next"]) <= np.asarray(SCALE)).all()
@@ -510,7 +527,7 @@ class TestActorUpdate:
             assert abs(step) == pytest.approx(1e-4 * abs(g) / (abs(g) + nn.ADAM_EPS), rel=1e-2)
 
     def test_score_actor_ascends_relaxed_objective(self):
-        agent = make_agent(seed=27)
+        agent = make_agent(seed=27, batch_size=6)
         rng = np.random.default_rng(28)
         energize(agent.critic_1, rng, std=0.2)
         energize(agent.actor_action, rng, std=0.2)
