@@ -123,9 +123,9 @@ class BaselineRlConfig(PatConfig):
             raise ValueError("resolution must be > 0 and alternation_period >= 1")
 
 
-def dqn_update(net: nn.Mlp, target: nn.Mlp, adam: nn.AdamState,
-               states, actions, rewards, next_states, gamma: float) -> float:
-    """Double-DQN step: online argmax picks, target evaluates."""
+def dqn_grad(net: nn.Mlp, target: nn.Mlp, states, actions, rewards, next_states,
+             gamma: float) -> tuple:
+    """A double-DQN step's (loss, gradient): online argmax picks, target evaluates."""
     b = states.shape[0]
     rows = np.arange(b)
     a_star = np.argmax(nn.forward(net, next_states), axis=1)
@@ -134,8 +134,7 @@ def dqn_update(net: nn.Mlp, target: nn.Mlp, adam: nn.AdamState,
     resid = q[rows, actions] - y
     gout = np.zeros_like(q)
     gout[rows, actions] = (2.0 / b) * resid
-    adam.step(net, nn.backward(net, cache, gout))
-    return float(np.mean(resid * resid))
+    return float(np.mean(resid * resid)), nn.backward(net, cache, gout)
 
 
 class _PairedLearner(LearnerBase):
@@ -154,9 +153,9 @@ class _PairedLearner(LearnerBase):
         if self.phase == 1:
             return {"loss": self._update_params(batch)[0]}
         states, actions, _, rewards, next_states = batch
-        loss = dqn_update(self.server_q, self.t_server_q, self.adam_server,
-                          states, actions, rewards, next_states, self.cfg.gamma)
-        self._blend("server_q")
+        loss, grad = dqn_grad(self.server_q, self.t_server_q, states, actions, rewards,
+                              next_states, self.cfg.gamma)
+        self._step("server_q", grad)
         return {"loss": loss}
 
 
@@ -165,13 +164,12 @@ class DdqnPairAgent(_PairedLearner):
     of cfg.resolution that spans the parameter box."""
 
     _KIND = "ddqn"
-    _ADAMS = {"adam_server": "server_q", "adam_param": "param_q"}
     _PARAM_NET = "param_q"
 
     def _build(self, s: int, a: int):
         self.grid = DiscretizedGrid(self.cfg.resolution, *self._box)
-        self._init_nets(server_q=self._net(s, *HIDDEN, a),
-                        param_q=self._net(s, *HIDDEN, self.grid.n_cells))
+        self._init_nets(server_q=("adam_server", self._net(s, *HIDDEN, a)),
+                        param_q=("adam_param", self._net(s, *HIDDEN, self.grid.n_cells)))
 
     def _actor_step(self, param_q: nn.Mlp, s, a: int, explore: bool) -> ParamAction:
         """Target a with the epsilon-greedy lattice cell of param_q."""
@@ -181,9 +179,9 @@ class DdqnPairAgent(_PairedLearner):
 
     def _update_params(self, batch) -> tuple:
         states, _, params, rewards, next_states = batch
-        loss = dqn_update(self.param_q, self.t_param_q, self.adam_param, states,
-                          self.grid.cells_of(params), rewards, next_states, self.cfg.gamma)
-        self._blend("param_q")
+        loss, grad = dqn_grad(self.param_q, self.t_param_q, states, self.grid.cells_of(params),
+                              rewards, next_states, self.cfg.gamma)
+        self._step("param_q", grad)
         return (loss,)
 
 
@@ -193,12 +191,11 @@ class DdpgPairAgent(_PairedLearner):
     target with no target smoothing noise."""
 
     _KIND = "ddpg"
-    _ADAMS = {"adam_server": "server_q", "adam_actor": "actor", "adam_critic": "critic"}
     _PARAM_NET = "actor"
     _NEXT_SELECTOR = "server_q"
     _CRITICS = ("critic",)
 
     def _build(self, s: int, a: int):
-        self._init_nets(server_q=self._net(s, *HIDDEN, a),
-                        actor=self._net(s + a, *HIDDEN, 2, scaled=True),
-                        critic=self._net(s + a + 2, *HIDDEN, 1))
+        self._init_nets(server_q=("adam_server", self._net(s, *HIDDEN, a)),
+                        actor=("adam_actor", self._net(s + a, *HIDDEN, 2, scaled=True)),
+                        critic=("adam_critic", self._net(s + a + 2, *HIDDEN, 1)))

@@ -6,8 +6,8 @@ A net computes in the dtype it is built with (float64 by default; the
 learners build float32 nets), and every function here follows the dtype of
 its inputs, so a net fed arrays of its own dtype never promotes. A net's
 parameters, its gradient and its Adam moments are vectors of one layout,
-whose layers are views (layer_views). A net and an optimizer can be built
-over a buffer they are given, such as memory shared with another process.
+whose layers are views (layer_views). A net and an optimizer live in a buffer
+they are given, such as memory shared with another process, or a new one.
 Hidden layers use leaky ReLU (slope 0.01); the output head is linear or tanh
 scaled componentwise. Adam and the soft update work in place on whole vectors
 but keep the textbook's operations in their order: the plain formulas' bits.
@@ -42,7 +42,7 @@ class Mlp:
     """Fully connected net. sizes = (n_in, h1, ..., n_out); params is one
     vector of dtype, zero until initialized, and weights and biases are its
     layer views. Write parameters through the views, never rebind them.
-    Given a writable buffer, params is a view of its first bytes, zeroed."""
+    params views the first bytes of buffer, else of a new bytearray, zeroed."""
 
     def __init__(self, sizes, head_scale=None, dtype=np.float64, buffer=None):
         sizes = tuple(int(s) for s in sizes)
@@ -51,10 +51,9 @@ class Mlp:
         self.sizes = sizes
         n = sum((n_in + 1) * n_out for n_in, n_out in zip(sizes, sizes[1:]))
         if buffer is None:
-            self.params = np.zeros(n, dtype=dtype)
-        else:
-            self.params = np.frombuffer(buffer, dtype=dtype, count=n)
-            self.params[:] = 0.0
+            buffer = bytearray(n * np.dtype(dtype).itemsize)
+        self.params = np.frombuffer(buffer, dtype=dtype, count=n)
+        self.params[:] = 0.0
         self.weights, self.biases = layer_views(sizes, self.params)
         self.head_scale = None if head_scale is None else np.array(head_scale, dtype=dtype)
         if self.head_scale is not None and self.head_scale.shape != (sizes[-1],):
@@ -186,20 +185,17 @@ def softmax(x):
 class AdamState:
     """Adam with bias correction, ADAM_BETA1/ADAM_BETA2/ADAM_EPS. The
     moments m and v are vectors in the layout of the net's params; the step
-    count t is kept in a one-entry int64 array. Given a writable buffer of
-    nbytes(mlp) bytes, m, v and then the count are views of it, zeroed."""
+    count t is kept in a one-entry int64 array. m, v and then the count are
+    zeroed views of buffer (nbytes(mlp) bytes), else of a new bytearray."""
 
     def __init__(self, mlp: Mlp, lr: float = 1e-3, buffer=None):
         self.lr = lr
         n = mlp.params.size
         if buffer is None:
-            self._t = np.zeros(1, dtype=np.int64)
-            self.m = np.zeros_like(mlp.params)
-            self.v = np.zeros_like(mlp.params)
-        else:
-            self.m, self.v = np.frombuffer(buffer, mlp.params.dtype, 2 * n).reshape(2, n)
-            self._t = np.frombuffer(buffer, np.int64, 1, offset=self.nbytes(mlp) - 8)
-            self.m[:] = self.v[:] = self._t[:] = 0
+            buffer = bytearray(self.nbytes(mlp))
+        self.m, self.v = np.frombuffer(buffer, mlp.params.dtype, 2 * n).reshape(2, n)
+        self._t = np.frombuffer(buffer, np.int64, 1, offset=self.nbytes(mlp) - 8)
+        self.m[:] = self.v[:] = self._t[:] = 0
 
     @staticmethod
     def nbytes(mlp: Mlp) -> int:

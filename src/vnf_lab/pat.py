@@ -2,9 +2,10 @@
 
 A discrete actor scores the K+1 placement targets, a parameter actor maps
 (state, chosen target) to bounded CPU/memory deltas, and two critics rate
-(state, target one-hot, deltas). Targets are lagged copies blended softly
-after every update. The discrete actor trains through a softmax relaxation
-of its scores fed to the first critic.
+(state, target one-hot, deltas). Each net has a lagged target copy, blended
+softly right after the net's optimizer step (LearnerBase._step). The
+discrete actor trains through a softmax relaxation of its scores fed to the
+first critic.
 
 LearnerBase holds what this learner shares with the DDQN and DDPG pairs of
 the baselines module: replay, schedules, select, train_step, checkpoints and
@@ -97,6 +98,14 @@ class PatConfig:
             raise ValueError("batch_size cannot exceed buffer_capacity")
 
 
+def _as_index(action_index) -> int:
+    """action_index as an int; a bool (an int to Python, but no target) or no integer raises."""
+    with contextlib.suppress(TypeError):
+        if type(action_index) is not bool:
+            return operator.index(action_index)
+    raise ValueError(f"action_index is {action_index!r}, not an integer")
+
+
 class ReplayBuffer:
     """Fixed-capacity ring with uniform with-replacement sampling of (state,
     action index, (d_cpu, d_mem), reward = -training cost, next state), its
@@ -119,9 +128,9 @@ class ReplayBuffer:
     A next state may differ from its state in at most PATCH entries: a
     request changes only its cell's users, CPU and memory and its VNF's
     deployed flag. add refuses any other next state with a ValueError, as it
-    does a bool action index and params or a reward that are not real
-    numbers (a bool is none). add converts and checks every field before it
-    writes anything, so an add that raises leaves the ring as it was."""
+    does an action index that is no integer and params or a reward that are
+    not real numbers (a bool is neither). add converts and checks every field
+    before it writes anything, so an add that raises leaves the ring as it was."""
 
     PATCH = 4  # entries one env request changes, as above
     BASE_PATCH = 8  # entries a stored state may differ from its base in
@@ -159,9 +168,7 @@ class ReplayBuffer:
         if len(moved) > self.PATCH:
             raise ValueError(f"next state differs from its state in {len(moved)} entries; "
                              f"the replay ring stores at most {self.PATCH}")
-        if type(action_index) is bool:  # an int to Python, but no target
-            raise ValueError(f"action_index is {action_index!r}, not an integer")
-        action_index = operator.index(action_index)
+        action_index = _as_index(action_index)
         deltas = np.asarray(params)
         if deltas.shape != (2,):
             raise ValueError(f"params of shape {deltas.shape}; a transition has (d_cpu, d_mem)")
@@ -214,19 +221,17 @@ def mean_value_input_grad(critic: nn.Mlp, x: np.ndarray) -> np.ndarray:
     return nn.input_grad(critic, cache, np.full((b, 1), 1.0 / b, dtype=x.dtype))
 
 
-def ascend_param_actor(actor: nn.Mlp, adam: nn.AdamState, critic: nn.Mlp,
-                       states: np.ndarray, onehots: np.ndarray,
-                       param_scale: np.ndarray) -> np.ndarray:
-    """One ascent step of the parameter actor through a frozen critic.
+def param_actor_grad(actor: nn.Mlp, critic: nn.Mlp, states: np.ndarray,
+                     onehots: np.ndarray, param_scale: np.ndarray) -> tuple:
+    """(deltas, gradient) of the parameter actor's ascent through a frozen critic.
 
     param_scale is the box bound the critic's param inputs are normalized by;
-    the returned chain rule stays in raw units."""
+    the chain rule stays in raw units."""
     xp = np.concatenate([states, onehots], axis=1)
     p, cache_a = nn.forward_cached(actor, xp)
     xc = np.concatenate([states, onehots, p / param_scale], axis=1)
     gp = mean_value_input_grad(critic, xc)[:, xp.shape[1]:] / param_scale
-    adam.step(actor, nn.backward(actor, cache_a, -gp))
-    return p
+    return p, nn.backward(actor, cache_a, -gp)
 
 
 def _clip(x: float, lo: float, hi: float) -> float:
@@ -303,7 +308,12 @@ class Helper:
     def __init__(self, learner):
         cmd_r, cmd_w = os.pipe()
         reply_r, reply_w = os.pipe()
-        pid = os.fork()
+        try:
+            pid = os.fork()
+        except OSError:  # EAGAIN, ENOMEM: no helper, and no pipe end left open
+            for fd in (cmd_r, cmd_w, reply_r, reply_w):
+                os.close(fd)
+            raise
         if pid == 0:
             try:
                 signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -360,6 +370,8 @@ def _receive(fd: int, n: int) -> bytes:
         except BlockingIOError:
             if time.perf_counter() > deadline:
                 select.select([fd], [], [])
+            else:  # let a process waiting for this CPU run, as another learner's lane
+                os.sched_yield()
 
 
 def _reap(owner: int, pid: int, *ends):
@@ -388,27 +400,20 @@ class LearnerBase:
 
     Every kind is built as Kind(state_dim, n_targets, param_scale, cfg, seed),
     param_scale being the (rho_max, eta_max) box of the deltas. A subclass
-    names its kind, its config class and its optimizers (_ADAMS: optimizer ->
-    net), builds its live nets in _build(s, a) through _init_nets, and
-    implements _update(batch) -> stats. Its checkpointed nets (_NETS) are the
-    live nets in _ADAMS order, then their lagged t_ copies. A kind whose
+    names its kind and its config class, declares its live nets, each with
+    its optimizer's name, in _build(s, a) through _init_nets, and implements
+    _update(batch) -> stats, stepping each net with _step. A kind whose
     update runs phases in a helper process names them in _HELPER_PHASES and
     runs each with _helper_runs; close() stops the helper."""
 
     _KIND = ""
     _CONFIG = PatConfig
-    _NETS: tuple = ()
-    _ADAMS: dict = {}
     # nets by name: select's target scorer and deltas net, the bootstrap's next-target
     # net and the critics it takes the least of; whether it smooths the target deltas
     _SELECTOR = _PARAM_NET = _NEXT_SELECTOR = ""
     _CRITICS: tuple = ()
     _SMOOTH = False
     _HELPER_PHASES: tuple = ()
-
-    def __init_subclass__(cls):
-        live = tuple(cls._ADAMS.values())
-        cls._NETS = live + tuple("t_" + name for name in live)
 
     def __init__(self, state_dim: int, n_targets: int, param_scale, cfg=None, seed=0):
         self.cfg = cfg or self._CONFIG()
@@ -439,27 +444,29 @@ class LearnerBase:
         return nn.Mlp(sizes, self.scale if scaled else None, DTYPE)
 
     def _init_nets(self, lane=None, **live):
-        """Build the live nets of these shapes in one shared arena
-        (shared_buffers), each followed by its lagged t_ copy and its
-        optimizer of _ADAMS; Gaussian-init the live nets in order, and copy
-        each into its t_ copy. The arena ends with the zeroed DTYPE arrays of
-        lane (name -> shape), kept as self._lane."""
+        """Build the live nets, given as name=(optimizer name, net of its shape),
+        in one shared arena (shared_buffers), each followed by its lagged t_ copy
+        and its optimizer; Gaussian-init them in order (the checkpoint's: _NETS,
+        then _ADAMS) and copy each into its t_ copy. The arena ends with the
+        zeroed DTYPE arrays of lane (name -> shape), kept as self._lane."""
         lane = lane or {}
-        optimizer = {net: name for name, net in self._ADAMS.items()}
-        buffers = iter(shared_buffers([n for net in live.values() for n in (
+        buffers = iter(shared_buffers([n for _, net in live.values() for n in (
             net.params.nbytes, net.params.nbytes, nn.AdamState.nbytes(net))]
             + [math.prod(shape) * DTYPE().itemsize for shape in lane.values()]))
-        for name, shape in live.items():
+        self._ADAMS, self._adam_of = {}, {}
+        for name, (optimizer, shape) in live.items():
             net, lagged = (nn.Mlp(shape.sizes, shape.head_scale, DTYPE, next(buffers))
                            for _ in range(2))
             nn.gaussian_init(net, self.rng)
             lagged.params[:] = net.params
             setattr(self, name, net)
             setattr(self, "t_" + name, lagged)
-            setattr(self, optimizer[name], nn.AdamState(net, self.cfg.lr, next(buffers)))
+            self._adam_of[name] = nn.AdamState(net, self.cfg.lr, next(buffers))
+            setattr(self, optimizer, self._adam_of[name])
+            self._ADAMS[optimizer] = name
+        self._NETS = (*live, *("t_" + name for name in live))
         self._lane = {name: np.frombuffer(next(buffers), DTYPE).reshape(shape)
                       for name, shape in lane.items()}
-        self._adam_of = {net: getattr(self, name) for name, net in self._ADAMS.items()}
         self._select_nets = (getattr(self, self._SELECTOR), getattr(self, self._PARAM_NET))
 
     # schedules derive from the update counter so they are exact
@@ -480,14 +487,14 @@ class LearnerBase:
 
     def store(self, state, action_index: int, params, reward: float, next_state):
         """Add one transition to replay, cast to DTYPE. action_index must
-        lie in [0, n_targets), next_state may differ from state in at most
-        ReplayBuffer.PATCH entries, as every env transition does, and params
-        and reward must be real numbers; any other raises ValueError and
-        stores nothing."""
-        a, n = action_index, self.n_targets
-        if type(a) is not bool and not 0 <= operator.index(a) < n:  # add refuses a bool
+        be an integer in [0, n_targets), next_state may differ from state in
+        at most ReplayBuffer.PATCH entries, as every env transition does, and
+        params and reward must be real numbers; any other raises ValueError
+        and stores nothing."""
+        a, n = _as_index(action_index), self.n_targets
+        if not 0 <= a < n:
             raise ValueError(f"action_index {a} lies outside [0, n_targets = {n})")
-        self.buffer.add(state, action_index, params, reward, next_state)
+        self.buffer.add(state, a, params, reward, next_state)
 
     def _clipped_noise(self, shape) -> np.ndarray:
         """Target smoothing noise, drawn and clipped in float64."""
@@ -543,19 +550,22 @@ class LearnerBase:
     def _update(self, batch) -> dict:
         raise NotImplementedError
 
-    def _blend(self, name: str):
-        """Soft-update net name's t_ copy; run right after the net's optimizer
-        step, as no update reads a t_ copy after that."""
-        nn.soft_update(getattr(self, "t_" + name), getattr(self, name), self.cfg.tau)
+    def _step(self, name: str, grad):
+        """Net name's optimizer step on grad, then the soft update of its t_
+        copy: no update reads a t_ copy after its net's step."""
+        net = getattr(self, name)
+        self._adam_of[name].step(net, grad)
+        nn.soft_update(getattr(self, "t_" + name), net, self.cfg.tau)
 
     @contextlib.contextmanager
     def _helper_runs(self, phase: str):
-        """Run the body while the helper runs phase, one of _HELPER_PHASES:
-        in the helper process, forked at the first call where two_lanes(),
-        or else inline after the body. A helper error stops the helper and is
-        raised here, of its builtin type (else RuntimeError), naming the update."""
+        """Run the body while the helper runs phase, one of _HELPER_PHASES: in
+        the helper process, forked at the first call where two_lanes() and the
+        fork succeeds, or else inline after the body. A helper error stops the
+        helper and is raised here, of its builtin type (else RuntimeError), naming the update."""
         if self._helper is None and two_lanes():
-            self._helper = Helper(self)
+            with contextlib.suppress(OSError):
+                self._helper = Helper(self)
         if self._helper is None:
             yield
             getattr(self, phase)()
@@ -617,17 +627,16 @@ class LearnerBase:
         resid = q[:, 0] - y
         loss = float(np.mean(resid * resid))
         gq = (2.0 / xc.shape[0]) * resid[:, None]
-        self._adam_of[name].step(net, nn.backward(net, cache, gq))
-        self._blend(name)
+        self._step(name, nn.backward(net, cache, gq))
         return loss
 
     def update_actors(self, batch):
         """Ascend the first critic through the parameter actor at the stored targets."""
         states, actions, _, _, _ = batch
-        ascend_param_actor(getattr(self, self._PARAM_NET), self._adam_of[self._PARAM_NET],
-                           getattr(self, self._CRITICS[0]), states,
-                           self._target_rows[actions], param_scale=self.p_feat)
-        self._blend(self._PARAM_NET)
+        _, grad = param_actor_grad(getattr(self, self._PARAM_NET),
+                                   getattr(self, self._CRITICS[0]), states,
+                                   self._target_rows[actions], param_scale=self.p_feat)
+        self._step(self._PARAM_NET, grad)
 
     def _update_params(self, batch) -> tuple:
         """The actor-critic update: bootstrap, critics, actors; the critics' losses."""
@@ -732,8 +741,6 @@ class PatAgent(LearnerBase):
     ValueError at its first write there, before any net or optimizer moves."""
 
     _KIND = "pat"
-    _ADAMS = {"adam_actor_action": "actor_action", "adam_actor_param": "actor_param",
-              "adam_critic_1": "critic_1", "adam_critic_2": "critic_2"}
     _SELECTOR = "actor_action"
     _PARAM_NET = "actor_param"
     _NEXT_SELECTOR = "t_actor_action"
@@ -744,10 +751,11 @@ class PatAgent(LearnerBase):
     def _build(self, s: int, a: int):
         b = self.cfg.batch_size
         self._init_nets(lane={"xc": (b, s + a + 2), "q2": (b,), "y": (b,), "loss_2": (1,)},
-                        actor_action=self._net(s, *HIDDEN, a),
-                        actor_param=self._net(s + a, *HIDDEN, 2, scaled=True),
-                        critic_1=self._net(s + a + 2, *HIDDEN, 1),
-                        critic_2=self._net(s + a + 2, *HIDDEN, 1))
+                        actor_action=("adam_actor_action", self._net(s, *HIDDEN, a)),
+                        actor_param=("adam_actor_param",
+                                     self._net(s + a, *HIDDEN, 2, scaled=True)),
+                        critic_1=("adam_critic_1", self._net(s + a + 2, *HIDDEN, 1)),
+                        critic_2=("adam_critic_2", self._net(s + a + 2, *HIDDEN, 1)))
 
     def _target_values(self, next_states, onehots, p_next) -> list:
         xc = self._critic_input(next_states, onehots, p_next, out=self._lane["xc"])
@@ -789,9 +797,7 @@ class PatAgent(LearnerBase):
             self.critic_1, np.concatenate([states, soft, xc[:, s + self.n_targets:]], axis=1))
         ga = gin[:, s:s + self.n_targets]
         gscores = soft * (ga - (ga * soft).sum(axis=1, keepdims=True))
-        self.adam_actor_action.step(self.actor_action,
-                                    nn.backward(self.actor_action, cache_a, -gscores))
-        self._blend("actor_action")
+        self._step("actor_action", nn.backward(self.actor_action, cache_a, -gscores))
 
     def _update(self, batch) -> dict:
         return dict(zip(("critic_loss_1", "critic_loss_2"), self._update_params(batch)))

@@ -8,7 +8,7 @@ import pytest
 from vnf_lab import cli, nn
 from vnf_lab.baselines import (BaselineRlConfig, CloudAgent, DdpgPairAgent,
                                DdqnPairAgent, DiscretizedGrid, GreedyAgent,
-                               RandomAgent, dqn_update)
+                               RandomAgent, dqn_grad)
 from reference import one_hot
 from vnf_lab.env import AllocationState, ParamAction, PoolConfig, VnfSpec, qos, resource_range
 from vnf_lab.pat import DTYPE, ReplayBuffer
@@ -211,10 +211,9 @@ class TestDqnUpdate:
         # the loss reveals which bootstrap was used
         net = self.constant_net((3, 8, 2), [2.0, 1.0])
         target = self.constant_net((3, 8, 2), [10.0, 20.0])
-        adam = nn.AdamState(net, lr=1e-3)
         states = np.zeros((1, 3))
-        loss = dqn_update(net, target, adam, states, np.array([0]),
-                          np.array([0.5]), np.zeros((1, 3)), 0.99)
+        loss, _ = dqn_grad(net, target, states, np.array([0]),
+                           np.array([0.5]), np.zeros((1, 3)), 0.99)
         y_double = 0.5 + 0.99 * 10.0
         y_vanilla_max = 0.5 + 0.99 * 20.0
         assert loss == pytest.approx((2.0 - y_double) ** 2, rel=1e-12)
@@ -230,8 +229,8 @@ class TestDqnUpdate:
         actions = np.array([0, 1, 0, 1])
         rewards = np.array([0.3, -0.4, 0.1, 0.9])
         for _ in range(800):
-            loss = dqn_update(net, target, adam, states, actions, rewards,
-                              states, 0.0)
+            loss, grad = dqn_grad(net, target, states, actions, rewards, states, 0.0)
+            adam.step(net, grad)
         q = nn.forward(net, states)
         assert q[np.arange(4), actions] == pytest.approx(rewards, abs=2e-3)
         assert loss < 1e-5

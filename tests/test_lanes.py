@@ -3,11 +3,13 @@ discrete actor on memory it shares with the learner. The helper and the
 inline path give the same bytes, and the helper never outlives its owner."""
 
 import ctypes
+import errno
 import json
 import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -270,6 +272,54 @@ class TestHelperErrors:
         assert agent._helper is None and reaped(forks[0])
         assert agent.train_step()["trained"] and len(forks) == 2
         agent.close()
+
+
+class TestFailedFork:
+    def test_a_failed_fork_runs_the_phases_inline_and_closes_its_pipes(
+            self, tmp_path, monkeypatch):
+        """A fork that raises (EAGAIN, as at a process limit) leaves no pipe
+        end open and the run goes on inline: a desk train on two CPUs writes
+        the bytes of the run on one CPU."""
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**DESK, "agent": {**DESK["agent"], "warmup_size": 64},
+                                    "run": {"seed": 3, "total_epochs": 40, "eval_epochs": 2}}))
+        set_cpus(monkeypatch, 1)
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "cpus1"),
+                         "--quiet"]) == 0
+        tries = []
+
+        def failing():
+            tries.append(1)
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(os, "fork", failing)
+        fds = len(os.listdir("/proc/self/fd"))
+        assert cli.main(["train", "--config", str(path), "--out", str(tmp_path / "failed"),
+                         "--quiet"]) == 0
+        assert tries and len(os.listdir("/proc/self/fd")) == fds
+        for name in ("metrics.csv", "summary.json", "checkpoint.npz"):
+            assert (tmp_path / "failed" / name).read_bytes() == \
+                (tmp_path / "cpus1" / name).read_bytes(), name
+
+
+class TestPolling:
+    def test_a_polling_lane_yields_its_cpu(self, monkeypatch):
+        """A lane that polls its empty pipe lets waiting processes run, so two
+        trainings on two CPUs do not spin four processes on them."""
+        yields = []
+        monkeypatch.setattr(os, "sched_yield", lambda: yields.append(1))
+        r, w = os.pipe()
+        os.set_blocking(r, False)
+        writer = threading.Timer(0.05, os.write, (w, b"x"))
+        writer.start()
+        try:
+            assert pat._receive(r, 1) == b"x"
+        finally:
+            writer.join(5.0)
+            os.close(r)
+            os.close(w)
+        assert not writer.is_alive() and yields
 
 
 class TestTwoLanes:

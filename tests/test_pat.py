@@ -15,7 +15,7 @@ from reference import bits, one_hot
 from vnf_lab.baselines import BaselineRlConfig, DdpgPairAgent, DdqnPairAgent
 from vnf_lab.env import ParamAction
 from vnf_lab.pat import (DTYPE, LearnerBase, PatAgent, PatConfig, ReplayBuffer,
-                         ascend_param_actor)
+                         param_actor_grad)
 
 STATE_DIM = 12
 N_TARGETS = 4
@@ -142,12 +142,12 @@ class TestReplayBuffer:
         assert (params == [1.0, 2.0]).all()
 
     def test_bad_field_leaves_the_full_ring_as_it_was(self):
-        """An add whose action is a bool, or whose params or reward are not
-        real numbers, raises a ValueError naming the field before it writes
-        any of the row: on a full ring, row 0 keeps its old transition, and
-        the add's state, far from the base, makes no base. A bool is an int
-        to Python but neither a target nor a number here. A NaN delta or
-        reward is a real number and is stored."""
+        """An add whose action is a bool or no integer, or whose params or
+        reward are not real numbers, raises a ValueError naming the field
+        before it writes any of the row: on a full ring, row 0 keeps its old
+        transition, and the add's state, far from the base, makes no base. A
+        bool is an int to Python but neither a target nor a number here. A NaN
+        delta or reward is a real number and is stored."""
         buf = ReplayBuffer(2, 10)
         for i in range(2):
             buf.add(np.full(10, float(i)), i, (0.5, 0.5), 0.1, np.full(10, float(i)))
@@ -158,6 +158,9 @@ class TestReplayBuffer:
                 (2, ("2", 3.0), 0.2, "d_cpu is '2', not a real number"),
                 (2, (True, 3.0), 0.2, "d_cpu is True, not a real number"),
                 (True, (0.0, 0.0), 0.2, "action_index is True, not an integer"),
+                (1.0, (0.0, 0.0), 0.2, "action_index is 1.0, not an integer"),
+                ("1", (0.0, 0.0), 0.2, "action_index is '1', not an integer"),
+                (None, (0.0, 0.0), 0.2, "action_index is None, not an integer"),
                 (2, (0.0, 0.0), "0.5", "reward is '0.5', not a real number"),
                 (2, (0.0, 0.0), True, "reward is True, not a real number"),
                 (2, (0.0, 0.0), None, "reward is None, not a real number")):
@@ -241,7 +244,8 @@ class TestReplayBuffer:
     @pytest.mark.parametrize("kind", ["pat", "ddqn", "ddpg"])
     def test_store_refuses_a_target_outside_the_range(self, kind):
         """-1 would train as the cloud one-hot and n_targets would fail the
-        next update; store refuses both before the ring moves."""
+        next update; store refuses both, and an index that is no integer,
+        before the ring moves."""
         agent = make_learner(kind, 60)
         fill_buffer(agent, np.random.default_rng(61), 3)
         state = np.zeros(STATE_DIM, DTYPE)
@@ -250,8 +254,10 @@ class TestReplayBuffer:
                                                  rf"\[0, n_targets = {N_TARGETS}\)$"):
                 agent.store(state, index, (0.0, 0.0), 0.0, state)
             assert (agent.buffer.size, agent.buffer.cursor) == (3, 3)
-        with pytest.raises(ValueError, match=r"^action_index is True, not an integer$"):
-            agent.store(state, True, (0.0, 0.0), 0.0, state)
+        for index, shown in ((True, "True"), (1.0, r"1\.0"), ("1", "'1'"), (None, "None")):
+            with pytest.raises(ValueError, match=rf"^action_index is {shown}, not an integer$"):
+                agent.store(state, index, (0.0, 0.0), 0.0, state)
+            assert (agent.buffer.size, agent.buffer.cursor) == (3, 3)
         agent.store(state, N_TARGETS - 1, (0.0, 0.0), 0.0, state)
         assert (agent.buffer.size, agent.buffer.cursor) == (4, 4)
 
@@ -519,7 +525,8 @@ class TestActorUpdate:
                 probes.append((layer, idx, g, actor.weights[layer][idx]))
         assert len(probes) >= 5
         adam = nn.AdamState(actor, lr=1e-4)
-        ascend_param_actor(actor, adam, critic, states, onehots, param_scale=np.ones(2))
+        _, grad = param_actor_grad(actor, critic, states, onehots, param_scale=np.ones(2))
+        adam.step(actor, grad)
         for layer, idx, g, old in probes:
             step = actor.weights[layer][idx] - old
             assert np.sign(step) == np.sign(g), (layer, idx, g, step)
@@ -582,7 +589,8 @@ class TestActorUpdate:
         start = nn.forward(actor, np.concatenate([states, onehots], axis=1))
         assert np.abs(start).max() < 0.5
         for _ in range(1500):
-            mu = ascend_param_actor(actor, adam_a, critic, states, onehots, param_scale=np.ones(2))
+            mu, grad = param_actor_grad(actor, critic, states, onehots, param_scale=np.ones(2))
+            adam_a.step(actor, grad)
         assert np.abs(mu - 3.0).mean() < 1.0
 
 
